@@ -14,7 +14,6 @@ from .algorithms import (
     cumulants,
     qcels_estimate,
     qcels_series,
-    qcels_series_hadamard,
     qcm4,
     sceom_element_resources,
     sceom_energies,
@@ -70,10 +69,7 @@ from .givens import (
 from .paulis import (
     PauliSum,
     PauliWord,
-    TermCapExceeded,
     expectation_of_sum,
-    sum_multiply,
-    sum_power,
     word_multiply,
 )
 from .simulator import (

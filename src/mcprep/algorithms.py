@@ -189,7 +189,7 @@ class QcelsSeries:
 
 def _spectral_range(h: PauliSum) -> float:
     if h.n_qubits <= MAX_DENSE_EVOLVE_QUBITS:
-        values = np.linalg.eigvalsh(h.matrix())
+        values = h.eigensystem[0]
         return float(values[-1] - values[0])
     from scipy.sparse.linalg import eigsh
 
@@ -213,51 +213,22 @@ def qcels_series(state, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
     """Sample the autocorrelation of a state under centered time evolution."""
     _validate_series_args(h, tau, n_samples)
     shift = h.identity_coefficient
-    centered = h.shifted(-shift)
     amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
+    n = np.arange(n_samples)
 
     if h.n_qubits <= MAX_DENSE_EVOLVE_QUBITS:
-        values, vectors = np.linalg.eigh(centered.matrix())
+        values, vectors = h.eigensystem
         weights = np.abs(vectors.conj().T @ amps) ** 2
-        n = np.arange(n_samples)
         z = (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
     else:
         z = np.empty(n_samples, dtype=complex)
         current = StateVector(amps.copy(), h.n_qubits)
         z[0] = 1.0
         for i in range(1, n_samples):
-            current = evolve(current, centered, tau)
+            current = evolve(current, h, tau)
             z[i] = np.vdot(amps, current.amps)
-    return QcelsSeries(tau, z, shift)
-
-
-def qcels_series_hadamard(state, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
-    """Same series, but read out through an explicit ancilla interferometer:
-    the ancilla is prepended as qubit 0 and Re/Im Z come from its X and Y
-    expectations. Matches qcels_series to numerical precision."""
-    from .paulis import PauliWord, expectation_of_sum
-
-    _validate_series_args(h, tau, n_samples)
-    shift = h.identity_coefficient
-    centered = h.shifted(-shift)
-    amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
-
-    n_total = h.n_qubits + 1
-    x_word = PauliWord.from_string("X" + "I" * h.n_qubits)
-    y_word = PauliWord.from_string("Y" + "I" * h.n_qubits)
-    x_sum = PauliSum({x_word: 1.0}, n_total)
-    y_sum = PauliSum({y_word: 1.0}, n_total)
-
-    z = np.empty(n_samples, dtype=complex)
-    evolved = amps.copy()
-    for i in range(n_samples):
-        if i:
-            evolved = evolve(StateVector(evolved, h.n_qubits), centered, tau).amps
-        interferometer = np.concatenate([amps, evolved]) / math.sqrt(2)
-        z[i] = expectation_of_sum(x_sum, interferometer) + 1j * expectation_of_sum(
-            y_sum, interferometer
-        )
-    return QcelsSeries(tau, z, shift)
+    # Evolving under h rather than h - shift only adds the phase exp(-i shift tau n).
+    return QcelsSeries(tau, z * np.exp(1j * shift * tau * n), shift)
 
 
 def _qcels_objective(series: QcelsSeries, energy: float) -> float:

@@ -168,9 +168,6 @@ class Circuit:
             names.update(g.symbols)
         return tuple(sorted(names))
 
-    def extended(self, more: Iterable[Gate]) -> Circuit:
-        return Circuit(self.n_qubits, self.gates + tuple(more))
-
 
 def concatenate(*circuits: Circuit) -> Circuit:
     width = {c.n_qubits for c in circuits}
@@ -343,8 +340,14 @@ def _multiplexed_rotation(kind: str, target: int, controls, angle: float) -> lis
     return out
 
 
-def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Return (a, b, c, delta) with u = exp(i delta) Rz(a) Ry(b) Rz(c)."""
+def _euler_angles(u: np.ndarray, axis: str) -> tuple[float, float, float, float]:
+    """Return (a, b, c, delta) with u = exp(i delta) Rz(a) R(b) Rz(c), where R
+    rotates about the middle axis "y" or "x".
+
+    Rx(b) = Rz(-pi/2) Ry(b) Rz(pi/2), so the x form is the y form with a - c
+    larger by pi.
+    """
+    turn = math.pi if axis == "x" else 0.0
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = math.atan2(det.imag, det.real) / 2
     su = u * np.exp(-1j * delta)
@@ -352,16 +355,16 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     if abs(su[1, 0]) < 1e-14:
         a, c = -2 * np.angle(su[0, 0]), 0.0
     elif abs(su[0, 0]) < 1e-14:
-        a, c = 2 * np.angle(su[1, 0]), 0.0
+        a, c = 2 * np.angle(su[1, 0]) + turn, 0.0
     else:
         apc = -2 * np.angle(su[0, 0])
-        amc = 2 * np.angle(su[1, 0])
+        amc = 2 * np.angle(su[1, 0]) + turn
         a, c = (apc + amc) / 2, (apc - amc) / 2
     return a, b, c, delta
 
 
 def _emit_1q_unitary(q: int, u: np.ndarray) -> list[Gate]:
-    a, b, c, _ = _zyz_angles(u)
+    a, b, c, _ = _euler_angles(u, "y")
     out = []
     if abs(c) > _NULL_EPS:
         out.append(rz_gate(q, c))
@@ -380,7 +383,7 @@ def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[Gate]:
     exactly, so the missing piece is diag(1, e^{i delta}) on the control, which
     is Rz(delta) up to a global phase.
     """
-    a, b, c, delta = _zyz_angles(u)
+    a, b, c, delta = _euler_angles(u, "y")
     out = []
     if abs(c - a) > 2 * _NULL_EPS:
         out.append(rz_gate(q, (c - a) / 2))
@@ -707,7 +710,7 @@ def _consolidate_1q_runs(gates: list[Gate]) -> tuple[list[Gate], bool]:
 def _emit_zz_1q(q: int, u: np.ndarray) -> list[Gate]:
     """u (up to phase) as [PhasedX(alpha, beta), Rz(gamma)], dropping trivial
     factors. Uses u = Rz(a) Rx(b) Rz(c) with beta = -c, alpha = b, gamma = a + c."""
-    a, b, c = _zxz_angles(u)
+    a, b, c, _ = _euler_angles(u, "x")
     out = []
     if abs(math.remainder(b, 2 * math.pi)) > _NULL_EPS:
         out.append(phasedx_gate(q, b, -c))
@@ -715,23 +718,6 @@ def _emit_zz_1q(q: int, u: np.ndarray) -> list[Gate]:
     if abs(math.remainder(gamma, 2 * math.pi)) > _NULL_EPS:
         out.append(rz_gate(q, gamma))
     return out
-
-
-def _zxz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles with u = Rz(a) Rx(b) Rz(c) up to a global phase."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    su = u * np.exp(-1j * math.atan2(det.imag, det.real) / 2)
-    b = 2 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[1, 0]) < 1e-14:
-        a, c = -2 * np.angle(su[0, 0]), 0.0
-    elif abs(su[0, 0]) < 1e-14:
-        # su = Rz(a) Rx(pi) Rz(c) has corner -i exp(+-i(a-c)/2).
-        a, c = 2 * np.angle(su[1, 0]) + math.pi, 0.0
-    else:
-        apc = -2 * np.angle(su[0, 0])
-        amc = 2 * np.angle(su[1, 0]) + math.pi
-        a, c = (apc + amc) / 2, (apc - amc) / 2
-    return a, b, c
 
 
 def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:

@@ -218,8 +218,7 @@ def _cmd_qcels(args) -> int:
     spec = fileio.parse_state_spec(_read(args.spec))
     h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
     state = run_circuit(_synthesize(spec, args.method))
-    maker = algorithms.qcels_series_hadamard if args.hadamard else algorithms.qcels_series
-    series = maker(state, h, args.tau, args.samples)
+    series = algorithms.qcels_series(state, h, args.tau, args.samples)
     estimate = algorithms.qcels_estimate(series)
     body = {
         "spec": args.spec,
@@ -227,7 +226,6 @@ def _cmd_qcels(args) -> int:
         "method": args.method,
         "tau": args.tau,
         "samples": args.samples,
-        "readout": "hadamard" if args.hadamard else "direct",
         "estimate": estimate,
     }
     exact = _maybe_exact_ground(h)
@@ -344,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--hadamard", action="store_true", help="read out via an explicit ancilla")
     add_method(p)
     p.set_defaults(run=_cmd_qcels)
 

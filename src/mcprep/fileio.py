@@ -23,9 +23,12 @@ class ParseError(ValueError):
 def _to_float(text: str, lineno: int, label: str) -> float:
     # U+2212 minus signs appear in text copied from typeset sources.
     try:
-        return float(text.replace("−", "-"))
+        value = float(text.replace("−", "-"))
     except ValueError:
         raise ParseError(f"line {lineno}: {label} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: {label} {text!r} is not finite")
+    return value
 
 
 def _content_lines(text: str):
@@ -112,7 +115,10 @@ def _angle_from_json(value, position: int):
     if isinstance(value, str):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value) * math.pi
+        angle = float(value) * math.pi
+        if not math.isfinite(angle):
+            raise ParseError(f"gate {position}: angle {value!r} is not finite")
+        return angle
     raise ParseError(f"gate {position}: angle {value!r} must be a number or a name")
 
 

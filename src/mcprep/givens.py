@@ -241,7 +241,6 @@ def synthesize_gr(
     spec: StateSpec,
     symbolic: bool = False,
     include_reference_prep: bool = True,
-    parameter_prefix: str = "theta",
 ) -> Circuit:
     """Rotation-ladder preparation circuit for a state specification.
 
@@ -256,9 +255,7 @@ def synthesize_gr(
     if include_reference_prep:
         gates.extend(x_gate(q) for q in plan.configs[0].occupied)
     if symbolic:
-        angles: list[float | str] = [
-            f"{parameter_prefix}_{i}" for i in range(1, len(plan.rotations) + 1)
-        ]
+        angles: list[float | str] = [f"theta_{i}" for i in range(1, len(plan.rotations) + 1)]
     else:
         angles = list(angles_from_coefficients(spec.coefficients))
     for rot, angle in zip(plan.rotations, angles):
@@ -266,7 +263,7 @@ def synthesize_gr(
     return Circuit(spec.n_q, tuple(gates))
 
 
-def natural_gr_binding(spec: StateSpec, parameter_prefix: str = "theta") -> dict[str, float]:
+def natural_gr_binding(spec: StateSpec) -> dict[str, float]:
     """Parameter values under which the symbolic circuit prepares the spec."""
     values = angles_from_coefficients(spec.coefficients)
-    return {f"{parameter_prefix}_{i}": v for i, v in enumerate(values, start=1)}
+    return {f"theta_{i}": v for i, v in enumerate(values, start=1)}

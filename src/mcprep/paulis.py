@@ -5,11 +5,15 @@ corresponds to qubit q, so masks align with basis-state indices where qubit 0
 is the most significant bit. The canonical operator for masks (x, z) is
 i**popcount(x & z) * X^x * Z^z, which makes every word Hermitian and maps
 popcount(x & z) to the number of Y letters.
+
+A sum is the package's one operator kernel: it groups its words by X-mask
+once, and its matrix-free, dense and sparse forms and its cached
+eigendecomposition all read those groups.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 
 import numpy as np
 
@@ -21,10 +25,6 @@ _MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-class TermCapExceeded(RuntimeError):
-    """Raised when a sum product would exceed the configured term budget."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,21 +90,26 @@ def word_multiply(a: PauliWord, b: PauliWord) -> tuple[complex, PauliWord]:
     return 1j**exponent, PauliWord(x, z, a.n_qubits)
 
 
-def apply_word(word: PauliWord, amps: np.ndarray) -> np.ndarray:
-    """Apply a word to a statevector indexed with qubit 0 as the MSB."""
-    dim = 1 << word.n_qubits
-    if amps.shape[0] != dim:
-        raise ValueError(f"state of dim {amps.shape[0]} does not match {word.n_qubits} qubits")
-    indices = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
+def _word_phases(word: PauliWord) -> np.ndarray:
+    """Column phases of a word: its matrix holds i**y_count * (-1)**popcount(z & c)
+    at row c ^ x_mask of column c. The package's one Z-parity loop."""
+    indices = np.arange(1 << word.n_qubits)
+    parity = np.zeros(indices.size, dtype=np.int64)
     z = word.z_mask
     while z:
         low = z & -z
         parity ^= (indices >> low.bit_length() - 1) & 1
         z ^= low
-    phases = (1j**word.y_count) * np.where(parity, -1.0, 1.0)
+    return (1j**word.y_count) * np.where(parity, -1.0, 1.0)
+
+
+def apply_word(word: PauliWord, amps: np.ndarray) -> np.ndarray:
+    """Apply a word to a statevector indexed with qubit 0 as the MSB."""
+    dim = 1 << word.n_qubits
+    if amps.shape[0] != dim:
+        raise ValueError(f"state of dim {amps.shape[0]} does not match {word.n_qubits} qubits")
     out = np.empty(dim, dtype=complex)
-    out[indices ^ word.x_mask] = phases * amps
+    out[np.arange(dim) ^ word.x_mask] = _word_phases(word) * amps
     return out
 
 
@@ -149,10 +154,6 @@ class PauliSum:
     def identity_coefficient(self) -> float:
         return self._terms.get(PauliWord(0, 0, self.n_qubits), 0.0)
 
-    def trace_over_dim(self) -> float:
-        """Trace divided by 2**n_qubits; only the identity term contributes."""
-        return self.identity_coefficient
-
     def scaled(self, factor: float) -> PauliSum:
         return PauliSum({w: c * factor for w, c in self._terms.items()}, self.n_qubits)
 
@@ -163,72 +164,68 @@ class PauliSum:
         terms[ident] = terms.get(ident, 0.0) + offset
         return PauliSum(terms, self.n_qubits)
 
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps, dtype=complex)
+    @functools.cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """X-masks and diagonals with H[c ^ masks[g], c] = diagonals[g, c].
+
+        Each diagonal adds its words' coeff * i**y * (-1)**parity in term
+        insertion order, so the dense form equals the Kronecker sum of the
+        words exactly. Every operator form below reads these groups.
+        """
+        masks = list(dict.fromkeys(word.x_mask for word in self._terms))
+        group_of = {x: g for g, x in enumerate(masks)}
+        diagonals = np.zeros((len(masks), 1 << self.n_qubits), dtype=complex)
         for word, coeff in self._terms.items():
-            out += coeff * apply_word(word, amps)
+            diagonals[group_of[word.x_mask]] += coeff * _word_phases(word)
+        if not diagonals.imag.any():
+            # Real sums, such as number-conserving ones, keep half the memory.
+            diagonals = diagonals.real.copy()
+        diagonals.flags.writeable = False
+        return np.array(masks, dtype=np.int64), diagonals
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        dim = 1 << self.n_qubits
+        if amps.shape != (dim,):
+            raise ValueError(f"state of shape {amps.shape} does not match {self.n_qubits} qubits")
+        indices = np.arange(dim)
+        out = np.zeros(dim, dtype=complex)
+        for x, diagonal in zip(*self._groups):
+            out += (diagonal * amps)[indices ^ x]
         return out
 
     def matrix(self) -> np.ndarray:
         dim = 1 << self.n_qubits
+        indices = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for word, coeff in self._terms.items():
-            out += coeff * word.matrix()
+        for x, diagonal in zip(*self._groups):
+            out[indices ^ x, indices] = diagonal
         return out
 
     def sparse_matrix(self):
-        """CSR matrix built word by word; each word is a signed permutation."""
+        """CSR matrix whose row r holds column r ^ x of every group x; real
+        when every diagonal is."""
         import scipy.sparse as sp
 
+        masks, diagonals = self._groups
         dim = 1 << self.n_qubits
-        indices = np.arange(dim)
-        total = sp.csr_matrix((dim, dim), dtype=complex)
-        for word, coeff in self._terms.items():
-            parity = np.zeros(dim, dtype=np.int64)
-            z = word.z_mask
-            while z:
-                low = z & -z
-                parity ^= (indices >> low.bit_length() - 1) & 1
-                z ^= low
-            data = coeff * (1j**word.y_count) * np.where(parity, -1.0, 1.0)
-            rows = indices ^ word.x_mask
-            total = total + sp.csr_matrix((data, (rows, indices)), shape=(dim, dim))
-        return total
+        cols = np.arange(dim, dtype=np.int32)[:, None] ^ masks.astype(np.int32)
+        data = diagonals[np.arange(masks.size), cols]
+        out = sp.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(dim + 1) * masks.size), shape=(dim, dim)
+        )
+        out.eliminate_zeros()
+        return out
 
+    @functools.cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns of the dense matrix.
 
-def sum_multiply(a: PauliSum, b: PauliSum, cap: int = 5_000_000) -> PauliSum:
-    """Product of two sums with term collection.
-
-    Imaginary parts of collected coefficients must stay below 1e-12; for
-    Hermitian inputs whose product is Hermitian (e.g. powers of one sum) they
-    cancel exactly.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("register mismatch")
-    if a.n_terms * b.n_terms > cap:
-        raise TermCapExceeded(f"{a.n_terms} x {b.n_terms} partial products exceed cap {cap}")
-    acc: dict[PauliWord, complex] = {}
-    for ca, wa in a.terms():
-        for cb, wb in b.terms():
-            phase, word = word_multiply(wa, wb)
-            acc[word] = acc.get(word, 0.0) + ca * cb * phase
-    cleaned: dict[PauliWord, float] = {}
-    for word, coeff in acc.items():
-        if abs(coeff.imag) > 1e-12:
-            raise ValueError(f"non-Hermitian product: term {word} has coefficient {coeff}")
-        if coeff.real != 0.0:
-            cleaned[word] = coeff.real
-    return PauliSum(cleaned, a.n_qubits)
-
-
-def sum_power(h: PauliSum, power: int, cap: int = 5_000_000) -> PauliSum:
-    """h**power with term collection after every multiplication."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    result = PauliSum.from_terms([(1.0, PauliWord(0, 0, h.n_qubits))])
-    for _ in range(power):
-        result = sum_multiply(result, h, cap=cap)
-    return result
+        Computed once per sum and shared by every caller, hence read-only.
+        """
+        values, vectors = np.linalg.eigh(self.matrix())
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        return values, vectors
 
 
 def expectation_of_sum(h: PauliSum, amps: np.ndarray) -> float:

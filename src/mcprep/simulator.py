@@ -175,7 +175,7 @@ def evolve(state, h: PauliSum, t: float) -> StateVector:
     if amps.shape != (1 << n,):
         raise ValueError("state does not match Hamiltonian register")
     if n <= MAX_DENSE_EVOLVE_QUBITS:
-        values, vectors = np.linalg.eigh(h.matrix())
+        values, vectors = h.eigensystem
         phases = np.exp(-1j * values * t)
         out = vectors @ (phases * (vectors.conj().T @ amps))
     elif n <= MAX_SPECTRUM_QUBITS:
@@ -198,10 +198,8 @@ class Spectrum:
 def exact_spectrum(h: PauliSum, with_vectors: bool = False) -> Spectrum:
     if h.n_qubits > MAX_SPECTRUM_QUBITS:
         raise ValueError(f"{h.n_qubits} qubits exceeds spectrum budget {MAX_SPECTRUM_QUBITS}")
-    if with_vectors:
-        values, vectors = np.linalg.eigh(h.matrix())
-        return Spectrum(values, vectors)
-    return Spectrum(np.linalg.eigvalsh(h.matrix()))
+    values, vectors = h.eigensystem
+    return Spectrum(values, vectors if with_vectors else None)
 
 
 def subspace_matrix(h: PauliSum, configs) -> np.ndarray:

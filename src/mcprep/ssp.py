@@ -143,9 +143,7 @@ def _disentangle_gates(step: MergeStep, angle) -> list[Gate]:
     return out
 
 
-def synthesize_ssp(
-    spec: StateSpec, symbolic: bool = False, parameter_prefix: str = "theta"
-) -> Circuit:
+def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:
     """Preparation circuit mapping |0...0> to the specified state.
 
     One (possibly controlled) pivot rotation per merge; symbolic mode names
@@ -155,19 +153,16 @@ def synthesize_ssp(
     gates: list[Gate] = [x_gate(q) for q in survivor.occupied]
     for i, step in enumerate(reversed(steps)):
         index = len(steps) - i
-        angle = f"{parameter_prefix}_{index}" if symbolic else -step.pivot_rotation
+        angle = f"theta_{index}" if symbolic else -step.pivot_rotation
         gates.append(ry_gate(step.pivot, angle, step.controls))
         gates.extend(cnot_gate(step.pivot, q) for q in reversed(step.conjugations))
     return Circuit(spec.n_q, tuple(gates))
 
 
-def natural_ssp_binding(spec: StateSpec, parameter_prefix: str = "theta") -> dict[str, float]:
+def natural_ssp_binding(spec: StateSpec) -> dict[str, float]:
     """Parameter values under which the symbolic circuit prepares the spec."""
     steps, _ = plan_merges(spec)
-    return {
-        f"{parameter_prefix}_{i}": -step.pivot_rotation
-        for i, step in enumerate(steps, start=1)
-    }
+    return {f"theta_{i}": -step.pivot_rotation for i, step in enumerate(steps, start=1)}
 
 
 def disentangling_circuit(spec: StateSpec) -> Circuit:

@@ -1,5 +1,6 @@
 """Downstream algorithm tests: cumulant energies, VQE, phase series, and
 excited-state matrices, each checked against dense linear-algebra oracles."""
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from mcprep.algorithms import (
     cumulants,
     qcels_estimate,
     qcels_series,
-    qcels_series_hadamard,
     qcm4,
     sceom_element_resources,
     sceom_energies,
@@ -32,12 +32,14 @@ from mcprep.configs import (
 from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
+    MAX_DENSE_EVOLVE_QUBITS,
     StateVector,
     exact_spectrum,
     expectation,
     moments,
     run_circuit,
     subspace_diag,
+    subspace_matrix,
 )
 
 
@@ -224,18 +226,29 @@ def test_qcels_recovers_eigenvalue_from_eigenstate():
         assert abs(qcels_estimate(series) - spectrum.values[k]) < 1e-10
 
 
-def test_qcels_hadamard_series_matches_direct_series():
+def test_qcels_sparse_series_matches_eigendecomposition():
     rng = np.random.default_rng(76)
-    h = random_sum(rng, 3, 5)
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(amps, 3)
-    spread = _spread(h)
-    tau = 0.5 * 2 * math.pi / spread
-    direct = qcels_series(state, h, tau, 16)
-    interferometric = qcels_series_hadamard(state, h, tau, 16)
-    assert np.abs(direct.values - interferometric.values).max() < 1e-10
-    assert direct.shift == interferometric.shift
+    n = MAX_DENSE_EVOLVE_QUBITS + 1
+    h = number_conserving_hamiltonian(rng, n).shifted(2.5)
+    # The sum conserves particle number, so a two-particle state evolves inside
+    # the two-particle block, whose eigendecomposition is the oracle.
+    configs = [
+        OnConfig.from_string("".join("1" if q in pair else "0" for q in range(n)))
+        for pair in itertools.combinations(range(n), 2)
+    ]
+    values, vectors = np.linalg.eigh(subspace_matrix(h, configs))
+    coeffs = rng.standard_normal(len(configs))
+    coeffs /= np.linalg.norm(coeffs)
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[[x.index for x in configs]] = coeffs
+    # Twice the coefficient 1-norm bounds the spectral range from above.
+    tau = 0.9 * math.pi / sum(abs(c) for c, w in h.terms() if not w.is_identity)
+    series = qcels_series(StateVector(amps, n), h, tau, 8)
+    weights = np.abs(vectors.conj().T @ coeffs) ** 2
+    steps = np.arange(8) * tau
+    expected = (weights[None, :] * np.exp(-1j * np.outer(steps, values - 2.5))).sum(axis=1)
+    assert series.shift == 2.5
+    assert np.abs(series.values - expected).max() < 1e-9
 
 
 def _spread(h: PauliSum) -> float:

@@ -81,6 +81,10 @@ def test_parse_hamiltonian_errors_carry_line_numbers():
         fileio.parse_hamiltonian("0.5 XX\n0.5 XXX\n")
     with pytest.raises(fileio.ParseError, match="no operator terms"):
         fileio.parse_hamiltonian("# nothing\n")
+    with pytest.raises(fileio.ParseError, match="line 2: coefficient 'nan' is not finite"):
+        fileio.parse_hamiltonian("0.5 ZIII\nnan IZII\n")
+    with pytest.raises(fileio.ParseError, match="line 1: coefficient '-inf' is not finite"):
+        fileio.parse_hamiltonian("-inf XX\n")
 
 
 def test_parse_state_spec_orders_largest_first_by_default():
@@ -117,6 +121,9 @@ def test_parse_state_spec_errors():
         fileio.parse_state_spec("ordered\n")
     with pytest.raises(SpecValidationError):
         fileio.parse_state_spec("0.8 10\n0.6 011\n")
+    # Dropping the nan line would leave a valid normalized spec behind.
+    with pytest.raises(fileio.ParseError, match="line 1: coefficient 'nan' is not finite"):
+        fileio.parse_state_spec("nan 1100\n1.0 0110\n")
 
 
 def test_circuit_json_round_trip():
@@ -175,6 +182,8 @@ def test_circuit_json_rejections():
     bad_gate({"kind": RY, "targets": [0]}, "gate 1: Ry needs an angle")
     bad_gate({"kind": RY, "targets": [0], "angle": True}, "number or a name")
     bad_gate({"kind": PHASEDX, "targets": [0], "angle": [0.5]}, "list of 2 angles")
+    bad_gate({"kind": RY, "targets": [1], "angle": math.nan}, "gate 1: angle nan is not finite")
+    bad_gate({"kind": PHASEDX, "targets": [0], "angle": [0.5, -math.inf]}, "gate 1: angle -inf")
     bad_gate({"kind": CNOT, "targets": [0, 1], "controls": [[0, 1]]}, "gate 1:")
     doc = {**good, "gates": [{"kind": "X", "targets": [5]}]}
     with pytest.raises(fileio.ParseError):  # wire out of range
@@ -316,15 +325,13 @@ def test_cli_qcels_recovers_diagonal_eigenvalue(tmp_path, capsys):
     spec_path = write(tmp_path, "state.txt", "1 1100\n")
     ham_path = write(tmp_path, "h.txt", DIAG_HAM_TEXT)
     # |1100> holds eigenvalue -1.0 + 0.25 = -0.75 of the diagonal operator.
-    for extra in ([], ["--hadamard"]):
-        code, report, _ = run_cli(
-            capsys,
-            ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--tau", "1.0",
-             "--samples", "24", *extra],
-        )
-        assert code == 0
-        assert report["estimate"] == pytest.approx(-0.75, abs=1e-9)
-    assert report["readout"] == "hadamard"
+    code, report, _ = run_cli(
+        capsys,
+        ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--tau", "1.0",
+         "--samples", "24"],
+    )
+    assert code == 0
+    assert report["estimate"] == pytest.approx(-0.75, abs=1e-9)
 
 
 def test_cli_qcels_rejects_aliasing_step(tmp_path, capsys):
@@ -431,6 +438,27 @@ def test_cli_spectrum(tmp_path, capsys):
     assert len(report["lowest"]) == 3
     exact = exact_spectrum(fileio.parse_hamiltonian(HAM_TEXT)).values[:3]
     assert np.allclose(report["lowest"], exact, atol=1e-12)
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    spec_path = write(tmp_path, "state.txt", "0.6 1100\n0.8 0110\n")
+    nan_angle = json.dumps({
+        "schema": fileio.CIRCUIT_SCHEMA,
+        "n_qubits": 4,
+        "gates": [{"kind": "X", "targets": [0]}, {"kind": RY, "targets": [1], "angle": math.nan}],
+    })
+    cases = [
+        (["synth", "--spec", write(tmp_path, "nan.txt", "nan 1100\n1.0 0110\n")], "line 1"),
+        (["moments", "--spec", spec_path, "--hamiltonian",
+          write(tmp_path, "h.txt", "0.5 ZIII\nnan IZII\n0.5 IIZI\n")], "line 2"),
+        (["verify", "--spec", spec_path, "--circuit", write(tmp_path, "c.json", nan_angle)],
+         "gate 1"),
+    ]
+    for argv, where in cases:
+        code, report, err = run_cli(capsys, argv)
+        assert code == 1
+        assert report is None
+        assert err.startswith(f"error: {where}:") and "not finite" in err
 
 
 def test_cli_reports_missing_file_as_user_error(tmp_path, capsys):

@@ -4,16 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mcprep.paulis import (
-    PauliSum,
-    PauliWord,
-    TermCapExceeded,
-    apply_word,
-    expectation_of_sum,
-    sum_multiply,
-    sum_power,
-    word_multiply,
-)
+from mcprep.paulis import PauliSum, PauliWord, apply_word, expectation_of_sum, word_multiply
 
 _DENSE = {
     "I": np.eye(2, dtype=complex),
@@ -63,15 +54,6 @@ def test_words_are_hermitian_involutions():
         assert np.allclose(m @ m, np.eye(m.shape[0]))
 
 
-def test_apply_word_matches_matrix_columns():
-    rng = np.random.default_rng(4)
-    for _ in range(40):
-        n = int(rng.integers(1, 8))
-        w = random_word(rng, n)
-        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        assert np.allclose(apply_word(w, amps), w.matrix() @ amps, atol=1e-12)
-
-
 def test_word_multiply_matches_dense_product():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -103,65 +85,68 @@ def test_sum_collects_terms_and_drops_zeros():
     assert s.coefficient(w) == 0.0
 
 
+def structured_terms(rng, n: int) -> dict[PauliWord, float]:
+    """Distinct words in insertion order: random words, words sharing one
+    X-mask, an XX+YY pair with equal coefficients (which cancel on half of
+    their diagonal) and a word with a single Y."""
+    flip_z = {"I": "Z", "Z": "I", "X": "Y", "Y": "X"}
+    base = "".join(rng.choice(list("IXYZ"), n))
+    letters = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(int(rng.integers(0, 4)))]
+    letters += [base] + [
+        "".join(flip_z[ch] if rng.random() < 0.5 else ch for ch in base) for _ in range(3)
+    ]
+    letters.append("Y" + "".join(rng.choice(list("IXZ"), n - 1)))
+    terms = {PauliWord.from_string(text): float(rng.standard_normal()) for text in letters}
+    if n >= 2:
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        hop = float(rng.standard_normal())
+        for letter in "XY":
+            word = ["I"] * n
+            word[i] = word[j] = letter
+            terms.setdefault(PauliWord.from_string("".join(word)), hop)
+    return terms
+
+
 def test_sum_apply_and_matrix_agree():
+    """apply, matrix and sparse_matrix against the Kronecker sum of the words
+    in insertion order, which matrix must reproduce exactly."""
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        h = random_sum(rng, n, int(rng.integers(1, 9)))
+    cases = [structured_terms(rng, int(rng.integers(1, 7))) for _ in range(25)]
+    # One-term sums, where apply must also agree with apply_word.
+    cases += [{random_word(rng, int(rng.integers(1, 8))): 1.0} for _ in range(40)]
+    for terms in cases:
+        n = next(iter(terms)).n_qubits
+        h = PauliSum(terms, n)
+        oracle = np.zeros((1 << n, 1 << n), dtype=complex)
+        for word, coeff in terms.items():
+            oracle += coeff * word.matrix()
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        assert np.allclose(h.apply(amps), h.matrix() @ amps, atol=1e-11)
-        assert np.allclose(h.sparse_matrix().toarray(), h.matrix(), atol=1e-12)
+        assert np.array_equal(h.matrix(), oracle)
+        assert np.allclose(h.apply(amps), oracle @ amps, atol=1e-11)
+        assert np.allclose(h.sparse_matrix().toarray(), oracle, atol=1e-12)
+        if len(terms) == 1:
+            (word,) = terms
+            assert np.allclose(apply_word(word, amps), oracle @ amps, atol=1e-12)
 
 
 def test_identity_coefficient_and_trace():
     h = PauliSum.from_terms([(0.5, "II"), (2.0, "ZZ"), (-0.25, "XY")])
     assert h.identity_coefficient == 0.5
-    assert h.trace_over_dim() == pytest.approx(np.trace(h.matrix()).real / 4)
+    assert h.identity_coefficient == pytest.approx(np.trace(h.matrix()).real / 4)
     assert h.shifted(-0.5).identity_coefficient == 0.0
     assert np.allclose(h.scaled(2.0).matrix(), 2 * h.matrix())
 
 
-def test_sum_multiply_matches_dense_product():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        a = random_sum(rng, n, int(rng.integers(1, 7)))
-        b = random_sum(rng, n, int(rng.integers(1, 7)))
-        product = a.matrix() @ b.matrix()
-        if np.abs(product.imag).max() > 1e-12 or not np.allclose(product, product.conj().T):
-            continue
-        assert np.allclose(sum_multiply(a, b).matrix(), product, atol=1e-10)
-
-
-def test_sum_multiply_rejects_non_hermitian_product():
-    x = PauliSum.from_terms([(1.0, "X")])
-    y = PauliSum.from_terms([(1.0, "Y")])
-    with pytest.raises(ValueError):
-        sum_multiply(x, y)  # XY = iZ
-
-
-def test_sum_power_matches_dense_power():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        h = random_sum(rng, n, int(rng.integers(1, 6)))
-        dense = np.linalg.matrix_power(h.matrix(), 4)
-        assert np.allclose(sum_power(h, 4).matrix(), dense, atol=1e-8)
-
-
 def test_x_plus_z_squares_to_twice_identity():
     h = PauliSum.from_terms([(1.0, "X"), (1.0, "Z")])
-    square = sum_power(h, 2)
-    assert square.n_terms == 1
-    assert square.identity_coefficient == pytest.approx(2.0)
-
-
-def test_term_cap_guards_product_blowup():
-    rng = np.random.default_rng(10)
-    a = random_sum(rng, 6, 12)
-    b = random_sum(rng, 6, 12)
-    with pytest.raises(TermCapExceeded):
-        sum_multiply(a, b, cap=100)
+    amps = np.array([0.6, 0.8j])
+    assert np.allclose(h.apply(h.apply(amps)), 2 * amps, atol=1e-15)
+    assert np.allclose(h.matrix() @ h.matrix(), 2 * np.eye(2), atol=1e-15)
+    values, vectors = h.eigensystem
+    assert np.allclose(values, [-np.sqrt(2), np.sqrt(2)], atol=1e-15)
+    assert h.eigensystem is h.eigensystem
+    with pytest.raises(ValueError):
+        values[0] = 0.0  # shared by every caller, so read-only
 
 
 def test_expectation_matches_quadratic_form():
