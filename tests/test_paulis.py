@@ -54,6 +54,15 @@ def test_words_are_hermitian_involutions():
         assert np.allclose(m @ m, np.eye(m.shape[0]))
 
 
+def test_apply_word_matches_matrix_columns():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        w = random_word(rng, n)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        assert np.allclose(apply_word(w, amps), w.matrix() @ amps, atol=1e-12)
+
+
 def test_word_multiply_matches_dense_product():
     rng = np.random.default_rng(5)
     for _ in range(200):
