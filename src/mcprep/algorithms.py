@@ -36,6 +36,8 @@ class TauTooLarge(ValueError):
 
 
 NEAR_EIGENSTATE_VARIANCE = 1e-12
+DEGENERACY_TOLERANCE = 1e-12
+SYMMETRY_TOLERANCE = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,29 +70,29 @@ def cumulants(moment_values) -> CumulantSet:
     return CumulantSet(*c)
 
 
-def qcm4(c: CumulantSet, tolerance: float = 1e-12) -> float:
+def qcm4(c: CumulantSet) -> float:
     """Quartic connected-moments energy estimate.
 
     Near-eigenstates (variance below 1e-12) short-circuit to the mean. The
     root expression 3 c3^2 - 2 c2 c4 and the denominator c3^2 - c2 c4 must
-    both clear the tolerance, otherwise DegenerateCumulants is raised.
+    both clear DEGENERACY_TOLERANCE, otherwise DegenerateCumulants is raised.
     """
     if c.c2 < NEAR_EIGENSTATE_VARIANCE:
         return c.c1
     discriminant = 3 * c.c3**2 - 2 * c.c2 * c.c4
     denominator = c.c3**2 - c.c2 * c.c4
-    if discriminant <= tolerance:
+    if discriminant <= DEGENERACY_TOLERANCE:
         raise DegenerateCumulants(f"root expression {discriminant:.3e} not positive")
-    if abs(denominator) <= tolerance:
+    if abs(denominator) <= DEGENERACY_TOLERANCE:
         raise DegenerateCumulants(f"denominator {denominator:.3e} vanishes")
     return c.c1 - (c.c2**2 / denominator) * (math.sqrt(discriminant) - c.c3)
 
 
-def cmx2(c: CumulantSet, tolerance: float = 1e-12) -> float:
+def cmx2(c: CumulantSet) -> float:
     """Quadratic connected-moments energy estimate c1 - c2^2 / c3."""
     if c.c2 < NEAR_EIGENSTATE_VARIANCE:
         return c.c1
-    if abs(c.c3) <= tolerance:
+    if abs(c.c3) <= DEGENERACY_TOLERANCE:
         raise ZeroThirdCumulant(f"third cumulant {c.c3:.3e} too small")
     return c.c1 - c.c2**2 / c.c3
 
@@ -368,12 +370,12 @@ def sceom_m_matrix(
     return MMatrix(m, e_ground, excitations, tuple(configs), tuple(signs))
 
 
-def sceom_energies(m: MMatrix | np.ndarray, symmetry_tolerance: float = 1e-6) -> np.ndarray:
+def sceom_energies(m: MMatrix | np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the excitation matrix."""
     values = m.values if isinstance(m, MMatrix) else np.asarray(m, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {values.shape}")
-    if np.max(np.abs(values - values.T)) > symmetry_tolerance:
+    if np.max(np.abs(values - values.T)) > SYMMETRY_TOLERANCE:
         raise ValueError("excitation matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh((values + values.T) / 2)
 

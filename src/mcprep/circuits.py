@@ -502,26 +502,10 @@ def _expand_cx(g: Gate) -> list[Gate]:
     kind, ctrls = g.kind, g.controls
     params = g.numeric_params()
 
-    if not ctrls:
-        if kind in (X, RY, RZ, CNOT):
-            return [g]
-        if kind == PHASEDX:
-            alpha, beta = params
-            q = g.targets[0]
-            return [rz_gate(q, math.pi / 2 - beta), ry_gate(q, alpha), rz_gate(q, beta - math.pi / 2)]
-        if kind == ZZMAX:
-            a, b = g.targets
-            return [cnot_gate(a, b), rz_gate(b, math.pi / 2), cnot_gate(a, b)]
-        if kind == SWAP:
-            a, b = g.targets
-            return [cnot_gate(a, b), cnot_gate(b, a), cnot_gate(a, b)]
-        if kind == G2:
-            return _flatten_cx(_g2_template(*g.targets, params[0]))
-        if kind == G4:
-            return _flatten_cx(_g4_template(*g.targets, params[0]))
-        raise ValueError(f"unknown gate kind {kind!r}")
-
-    # Controlled cases.
+    if kind == SWAP and not ctrls:
+        # The controlled form below emits the three CNOTs in the other order.
+        a, b = g.targets
+        return [cnot_gate(a, b), cnot_gate(b, a), cnot_gate(a, b)]
     if kind == X:
         return _flatten_cx(_mcx(ctrls, g.targets[0]))
     if kind == CNOT:

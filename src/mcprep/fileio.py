@@ -122,6 +122,13 @@ def _angle_from_json(value, position: int):
     raise ParseError(f"gate {position}: angle {value!r} must be a number or a name")
 
 
+def _integers(value, position: int, field: str) -> tuple[int, ...]:
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ParseError(f"gate {position}: {field} {value!r} must be a list of integers")
+    return tuple(value)
+
+
 def circuit_to_json(c: Circuit) -> str:
     gates = []
     for g in c.gates:
@@ -147,12 +154,16 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError("expected an object with 'n_qubits' and 'gates'")
     if doc.get("schema", CIRCUIT_SCHEMA) != CIRCUIT_SCHEMA:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}")
+    if type(doc["n_qubits"]) is not int:
+        raise ParseError(f"n_qubits {doc['n_qubits']!r} must be an integer")
+    if not isinstance(doc["gates"], list):
+        raise ParseError(f"'gates' must be a list, got {doc['gates']!r}")
     gates = []
     for position, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict) or "kind" not in entry or "targets" not in entry:
             raise ParseError(f"gate {position}: expected an object with 'kind' and 'targets'")
         kind = entry["kind"]
-        if kind not in PARAM_ARITY:
+        if not isinstance(kind, str) or kind not in PARAM_ARITY:
             raise ParseError(
                 f"gate {position}: unknown kind {kind!r}; valid kinds are "
                 + ", ".join(sorted(PARAM_ARITY))
@@ -171,12 +182,18 @@ def circuit_from_json(text: str) -> Circuit:
             if not isinstance(angle, list) or len(angle) != arity:
                 raise ParseError(f"gate {position}: {kind} needs a list of {arity} angles")
             params = tuple(_angle_from_json(a, position) for a in angle)
-        controls = tuple((int(q), int(s)) for q, s in entry.get("controls", []))
+        targets = _integers(entry["targets"], position, "targets")
+        pairs = entry.get("controls", [])
+        if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
+            raise ParseError(
+                f"gate {position}: controls {pairs!r} must be a list of [qubit, state] pairs"
+            )
+        controls = tuple(_integers(p, position, "control") for p in pairs)
         try:
-            gates.append(Gate(kind, tuple(int(t) for t in entry["targets"]), controls, params))
+            gates.append(Gate(kind, targets, controls, params))
         except ValueError as err:
             raise ParseError(f"gate {position}: {err}") from None
     try:
-        return Circuit(int(doc["n_qubits"]), tuple(gates))
+        return Circuit(doc["n_qubits"], tuple(gates))
     except ValueError as err:
         raise ParseError(str(err)) from None

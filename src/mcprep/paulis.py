@@ -7,8 +7,8 @@ i**popcount(x & z) * X^x * Z^z, which makes every word Hermitian and maps
 popcount(x & z) to the number of Y letters.
 
 A sum is the package's one operator kernel: it groups its words by X-mask
-once, and its matrix-free, dense and sparse forms and its cached
-eigendecomposition all read those groups.
+once, and its matrix-free, dense, subspace-block and sparse forms and its
+cached eigendecomposition all read those groups.
 """
 from __future__ import annotations
 
@@ -193,13 +193,21 @@ class PauliSum:
             out += (diagonal * amps)[indices ^ x]
         return out
 
-    def matrix(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        indices = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
+    def block(self, indices: np.ndarray) -> np.ndarray:
+        """Dense matrix over distinct basis states: entry (i, j) is
+        <indices[i]|H|indices[j]>."""
+        pos = np.full(1 << self.n_qubits, -1)
+        pos[indices] = np.arange(indices.size)
+        cols = np.arange(indices.size)
+        out = np.zeros((indices.size, indices.size), dtype=complex)
         for x, diagonal in zip(*self._groups):
-            out[indices ^ x, indices] = diagonal
+            rows = pos[indices ^ x]
+            inside = rows >= 0
+            out[rows[inside], cols[inside]] = diagonal[indices[inside]]
         return out
+
+    def matrix(self) -> np.ndarray:
+        return self.block(np.arange(1 << self.n_qubits))
 
     def sparse_matrix(self):
         """CSR matrix whose row r holds column r ^ x of every group x; real

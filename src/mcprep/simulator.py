@@ -5,6 +5,11 @@ the textual configuration "10" maps to index 2. All gate kinds of the IR are
 applied natively, including pattern rotations and gates with arbitrary
 (qubit, state) controls, so circuits can be verified without compiling them
 to a hardware set first.
+
+A gate acts on tensor axes: the amplitudes are viewed as a (2,) * n tensor
+(axis q is qubit q), each control fixes its axis to its state, and the
+gate's matrix is contracted with the target axes of that view in place.
+Subspace matrices are blocks of the operator sum's own kernel.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from .configs import OnConfig, StateSpec
 from .paulis import PauliSum, expectation_of_sum
 
 MAX_SIM_QUBITS = 16
+MAX_UNITARY_QUBITS = 12
 MAX_DENSE_EVOLVE_QUBITS = 10
 MAX_SPECTRUM_QUBITS = 14
 MAX_MOMENT_ORDER = 8
@@ -65,43 +71,16 @@ class StateVector:
         return StateVector(self.amps.copy(), self.n_qubits)
 
 
-def _control_masks(g: Gate, n: int) -> tuple[int, int]:
-    ones = zeros = 0
-    for q, state in g.controls:
-        bit = 1 << (n - 1 - q)
-        if state:
-            ones |= bit
-        else:
-            zeros |= bit
-    return ones, zeros
-
-
 def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
-    """Apply one gate in place to a (dim,) or (dim, batch) amplitude array."""
-    u = gate_matrix(g.kind, g.numeric_params())
+    """Apply one gate in place to a C-contiguous (dim,) or (dim, batch) array."""
     m = len(g.targets)
-    target_bits = [1 << (n - 1 - q) for q in g.targets]
-    t_mask = 0
-    for b in target_bits:
-        t_mask |= b
-    ones, zeros = _control_masks(g, n)
-
-    indices = np.arange(1 << n)
-    base = indices[
-        ((indices & t_mask) == 0) & ((indices & ones) == ones) & ((indices & zeros) == 0)
-    ]
-    if base.size == 0:
-        return amps
-    offsets = []
-    for pattern in range(1 << m):
-        off = 0
-        for j in range(m):
-            if (pattern >> (m - 1 - j)) & 1:
-                off |= target_bits[j]
-        offsets.append(off)
-    cols = np.stack([base + off for off in offsets])
-    block = amps[cols]
-    amps[cols] = np.tensordot(u, block, axes=(1, 0))
+    u = gate_matrix(g.kind, g.numeric_params()).reshape((2,) * (2 * m))
+    index = [slice(None)] * n
+    for q, state in g.controls:
+        index[q] = slice(state, state + 1)
+    view = amps.reshape((2,) * n + amps.shape[1:])[tuple(index)]
+    out = np.tensordot(u, view, axes=(range(m, 2 * m), g.targets))
+    view[...] = np.moveaxis(out, range(m), g.targets)
     return amps
 
 
@@ -122,10 +101,10 @@ def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
     return state
 
 
-def circuit_unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full matrix of a circuit, columns = images of basis states."""
-    if c.n_qubits > max_qubits:
-        raise ValueError(f"unitary extraction capped at {max_qubits} qubits")
+    if c.n_qubits > MAX_UNITARY_QUBITS:
+        raise ValueError(f"unitary extraction capped at {MAX_UNITARY_QUBITS} qubits")
     if c.parameters:
         raise ValueError(f"circuit has unbound parameters {c.parameters}")
     mat = np.eye(1 << c.n_qubits, dtype=complex)
@@ -203,23 +182,11 @@ def exact_spectrum(h: PauliSum, with_vectors: bool = False) -> Spectrum:
 
 
 def subspace_matrix(h: PauliSum, configs) -> np.ndarray:
-    """<x_i|H|x_j> over a configuration list, assembled word by word."""
-    index_of = {x.index: i for i, x in enumerate(configs)}
-    if len(index_of) != len(configs):
+    """<x_i|H|x_j> over a list of distinct configurations."""
+    indices = np.array([x.index for x in configs], dtype=np.int64)
+    if np.unique(indices).size != indices.size:
         raise ValueError("duplicate configurations in subspace basis")
-    size = len(configs)
-    mat = np.zeros((size, size), dtype=complex)
-    for coeff, word in h.terms():
-        phase_y = 1j**word.y_count
-        for j, x in enumerate(configs):
-            col = x.index
-            row = col ^ word.x_mask
-            i = index_of.get(row)
-            if i is None:
-                continue
-            sign = -1.0 if (word.z_mask & col).bit_count() % 2 else 1.0
-            mat[i, j] += coeff * phase_y * sign
-    return mat
+    return h.block(indices)
 
 
 def subspace_diag(h: PauliSum, configs, with_vectors: bool = False) -> Spectrum:

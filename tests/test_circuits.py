@@ -8,10 +8,12 @@ from mcprep.circuits import (
     CNOT,
     G2,
     G4,
+    PARAM_ARITY,
     PHASEDX,
     RY,
     RZ,
     SWAP,
+    TARGET_ARITY,
     X,
     ZZMAX,
     Circuit,
@@ -35,7 +37,7 @@ from mcprep.circuits import (
     x_gate,
     zzmax_gate,
 )
-from mcprep.simulator import circuit_unitary
+from mcprep.simulator import StateVector, circuit_unitary, run_circuit
 
 # --- dense embedding oracle ---------------------------------------------------
 
@@ -168,6 +170,23 @@ def test_circuit_unitary_matches_embedding_oracle():
         n = int(rng.integers(2, 6))
         c = random_circuit(rng, n, int(rng.integers(1, 12)))
         assert np.allclose(circuit_unitary(c), oracle_unitary(c), atol=1e-12)
+    # Every kind under one and two controls of mixed state on permuted wires,
+    # through the unitary and through run_circuit on one basis state.
+    n = 6
+    for kind in sorted(TARGET_ARITY):
+        for n_ctrl in (1, 2):
+            wires = [int(q) for q in rng.permutation(n)]
+            m = TARGET_ARITY[kind]
+            states = [int(s) for s in rng.permutation(2)[:n_ctrl]]
+            params = tuple(float(rng.uniform(-7, 7)) for _ in range(PARAM_ARITY[kind]))
+            c = Circuit(n, (Gate(kind, tuple(wires[:m]), tuple(zip(wires[m:], states)), params),))
+            oracle = oracle_unitary(c)
+            assert np.allclose(circuit_unitary(c), oracle, atol=1e-12), (kind, n_ctrl)
+            col = int(rng.integers(1 << n))
+            basis = np.zeros(1 << n, dtype=complex)
+            basis[col] = 1.0
+            out = run_circuit(c, StateVector(basis, n)).amps
+            assert np.allclose(out, oracle[:, col], atol=1e-12), (kind, n_ctrl)
 
 
 # --- gate and circuit validation ----------------------------------------------

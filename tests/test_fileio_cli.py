@@ -1,6 +1,7 @@
 """Serialization round-trips and command-line reports."""
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -185,9 +186,58 @@ def test_circuit_json_rejections():
     bad_gate({"kind": RY, "targets": [1], "angle": math.nan}, "gate 1: angle nan is not finite")
     bad_gate({"kind": PHASEDX, "targets": [0], "angle": [0.5, -math.inf]}, "gate 1: angle -inf")
     bad_gate({"kind": CNOT, "targets": [0, 1], "controls": [[0, 1]]}, "gate 1:")
+    # Wires, control states and n_qubits are JSON integers; fields keep their shapes.
+    bad_gate({"kind": [1], "targets": [0]}, r"gate 1: unknown kind \[1\]")
+    bad_gate({"kind": "X", "targets": 0}, "gate 1: targets 0 must be a list of integers")
+    bad_gate({"kind": "X", "targets": [0.5]}, r"gate 1: targets \[0.5\] must be")
+    bad_gate({"kind": "X", "targets": [True]}, r"gate 1: targets \[True\] must be")
+    bad_gate({"kind": "X", "targets": [1], "controls": 5}, "gate 1: controls 5 must be")
+    bad_gate({"kind": "X", "targets": [1], "controls": [5]}, r"gate 1: controls \[5\] must be")
+    bad_gate({"kind": "X", "targets": [1], "controls": [[0, 0.5]]}, r"gate 1: control \[0, 0.5\]")
+    bad_gate({"kind": "X", "targets": [1], "controls": [[0, 1, 1]]}, "gate 1: controls")
+    for n_qubits in ([2], 2.7, True):
+        with pytest.raises(fileio.ParseError, match="n_qubits .* must be an integer"):
+            fileio.circuit_from_json(json.dumps({**good, "n_qubits": n_qubits}))
+    with pytest.raises(fileio.ParseError, match="'gates' must be a list"):
+        fileio.circuit_from_json(json.dumps({**good, "gates": 7}))
     doc = {**good, "gates": [{"kind": "X", "targets": [5]}]}
     with pytest.raises(fileio.ParseError):  # wire out of range
         fileio.circuit_from_json(json.dumps(doc))
+
+
+def test_circuit_json_fuzzed_field_types_parse_or_raise_parse_error():
+    rng = random.Random(17)
+    base = {
+        "schema": fileio.CIRCUIT_SCHEMA,
+        "n_qubits": 4,
+        "gates": [
+            {"kind": "X", "targets": [0]},
+            {"kind": PHASEDX, "targets": [1], "angle": [0.5, "b"]},
+            {"kind": G2, "targets": [1, 2], "controls": [[0, 1], [3, 0]], "angle": 0.25},
+            {"kind": "G4", "targets": [0, 1, 2, 3], "angle": "a"},
+        ],
+    }
+    values = [None, True, False, 0, 1, 3, -1, 0.5, 2.7, 1e300, "X", "a", [], [0], [0.5],
+              [True], [[0, 1]], [[0, 0.5]], [5], {}, {"kind": "X"}]
+
+    def slots(node):
+        """Every (container, key) in the document, the root excluded."""
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield node, key
+            if isinstance(child, (dict, list)):
+                yield from slots(child)
+
+    for _ in range(600):
+        doc = json.loads(json.dumps(base))
+        for _ in range(rng.randint(1, 3)):
+            container, key = rng.choice(list(slots(doc)))
+            container[key] = json.loads(json.dumps(rng.choice(values)))
+        try:
+            circuit = fileio.circuit_from_json(json.dumps(doc))
+        except fileio.ParseError:
+            continue
+        assert isinstance(circuit, Circuit)
 
 
 def test_cli_synth_verify_chain(tmp_path, capsys):

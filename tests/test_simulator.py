@@ -236,7 +236,7 @@ def test_subspace_matrix_matches_dense_projection():
         picks = rng.choice(1 << n, size=size, replace=False)
         configs = [OnConfig.from_string(format(int(i), f"0{n}b")) for i in picks]
         dense = h.matrix()[np.ix_(picks, picks)]
-        assert np.allclose(subspace_matrix(h, configs), dense, atol=1e-12)
+        assert np.array_equal(subspace_matrix(h, configs), dense)
 
 
 def test_subspace_diag_full_basis_recovers_spectrum():
