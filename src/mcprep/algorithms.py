@@ -7,7 +7,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .circuits import Circuit, bind_parameters
 from .configs import ExcitationOp, OnConfig, StateSpec, apply_excitation, hamming, validate_spec
@@ -158,6 +157,10 @@ def vqe_minimize(
     while len(starts) < restarts:
         starts.append(rng.uniform(-math.pi, math.pi, len(names)))
 
+    # Imported here, not at module level: no other command needs scipy.optimize,
+    # and it costs most of the package's import time.
+    import scipy.optimize
+
     best: scipy.optimize.OptimizeResult | None = None
     for x0 in starts:
         result = scipy.optimize.minimize(
@@ -193,11 +196,16 @@ def _spectral_range(h: PauliSum) -> float:
     if h.n_qubits <= MAX_DENSE_EVOLVE_QUBITS:
         values = h.eigensystem[0]
         return float(values[-1] - values[0])
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     sparse = h.sparse_matrix()
-    high = eigsh(sparse, k=1, which="LA", return_eigenvectors=False)[0]
-    low = eigsh(sparse, k=1, which="SA", return_eigenvectors=False)[0]
+    try:
+        high = eigsh(sparse, k=1, which="LA", return_eigenvectors=False)[0]
+        low = eigsh(sparse, k=1, which="SA", return_eigenvectors=False)[0]
+    except ArpackNoConvergence as err:
+        raise ValueError(
+            f"spectral range of the {h.n_qubits}-qubit operator did not converge"
+        ) from err
     return float(high.real - low.real)
 
 

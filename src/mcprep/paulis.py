@@ -209,9 +209,13 @@ class PauliSum:
     def matrix(self) -> np.ndarray:
         return self.block(np.arange(1 << self.n_qubits))
 
-    def sparse_matrix(self):
+    @functools.cached_property
+    def _csr(self):
         """CSR matrix whose row r holds column r ^ x of every group x; real
-        when every diagonal is."""
+        when every diagonal is.
+
+        Assembled once per sum and shared by every caller, hence read-only.
+        """
         import scipy.sparse as sp
 
         masks, diagonals = self._groups
@@ -222,7 +226,13 @@ class PauliSum:
             (data.ravel(), cols.ravel(), np.arange(dim + 1) * masks.size), shape=(dim, dim)
         )
         out.eliminate_zeros()
+        for array in (out.data, out.indices, out.indptr):
+            array.flags.writeable = False
         return out
+
+    def sparse_matrix(self):
+        """The cached, read-only CSR form of the sum."""
+        return self._csr
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:

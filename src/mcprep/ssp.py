@@ -20,10 +20,11 @@ that eliminate the most remaining offenders (lowest qubit on ties).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 from .circuits import Circuit, Gate, cnot_gate, ry_gate, x_gate
-from .configs import OnConfig, StateSpec, xor_support
+from .configs import OnConfig, StateSpec, hamming, xor_support
 
 
 class MergeError(ValueError):
@@ -96,15 +97,15 @@ def select_merge_pair(support) -> tuple[OnConfig, OnConfig]:
     strings = sorted(support, key=str)
     if len(strings) < 2:
         raise MergeError("need at least two support strings to merge")
-    best = None
-    best_key = None
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            pair = (strings[i], strings[j])
-            diff_count, ctrl_count = _pair_cost(pair, strings)
-            key = (diff_count, ctrl_count, str(pair[0]), str(pair[1]))
-            if best_key is None or key < best_key:
-                best_key, best = key, pair
+    pairs = list(itertools.combinations(strings, 2))
+    # The distance leads the key, so only pairs at the minimum distance can
+    # win and only they need the support imaged and the controls covered.
+    distances = [hamming(a, b) for a, b in pairs]
+    nearest = min(distances)
+    best = min(
+        (pair for pair, d in zip(pairs, distances) if d == nearest),
+        key=lambda pair: (_pair_cost(pair, strings), str(pair[0]), str(pair[1])),
+    )
     pivot = xor_support(*best)[0]
     return best if best[0][pivot] else (best[1], best[0])
 

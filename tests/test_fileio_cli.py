@@ -395,6 +395,25 @@ def test_cli_qcels_rejects_aliasing_step(tmp_path, capsys):
     assert err.startswith("error: step 10")
 
 
+def test_cli_qcels_reports_unconverged_spectral_range(tmp_path, capsys, monkeypatch):
+    # Above 10 qubits the spectral range comes from eigsh, whose
+    # non-convergence must end in the error contract, not a traceback.
+    import scipy.sparse.linalg
+
+    def unconverged(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unconverged)
+    spec_path = write(tmp_path, "state.txt", "1 11000000000\n")
+    ham_path = write(tmp_path, "h.txt", "1.0 ZIIIIIIIIII\n0.5 XXIIIIIIIII\n")
+    code, report, err = run_cli(
+        capsys, ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--tau", "0.1"]
+    )
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: spectral range of the 11-qubit operator did not converge")
+
+
 def test_cli_qcels_requires_tau(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["qcels", "--spec", "s", "--hamiltonian", "h"])

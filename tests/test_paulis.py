@@ -158,6 +158,19 @@ def test_x_plus_z_squares_to_twice_identity():
         values[0] = 0.0  # shared by every caller, so read-only
 
 
+def test_sparse_matrix_is_assembled_once_and_read_only():
+    terms = structured_terms(np.random.default_rng(13), 6)
+    h = PauliSum(terms, 6)
+    csr = h.sparse_matrix()
+    assert h.sparse_matrix() is csr
+    fresh = PauliSum(terms, 6).sparse_matrix()
+    assert fresh is not csr and (fresh != csr).nnz == 0
+    assert np.array_equal(csr.toarray(), h.matrix())
+    for array in (csr.data, csr.indices, csr.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 0  # shared by every caller, so read-only
+
+
 def test_expectation_matches_quadratic_form():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -1,5 +1,7 @@
 """Sparse-preparation tests: merge planning, angles, and order invariance."""
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from mcprep.circuits import (
     count_resources,
     gateset_by_name,
 )
-from mcprep.configs import OnConfig, validate_spec
+from mcprep import ssp
+from mcprep.configs import OnConfig, validate_spec, xor_support
 from mcprep.givens import synthesize_gr
 from mcprep.simulator import StateVector, fidelity_up_to_phase, run_circuit
 from mcprep.ssp import (
     MergeError,
+    _pair_cost,
     disentangling_circuit,
     merge_angle,
     natural_ssp_binding,
@@ -87,6 +91,52 @@ def test_pair_selection_prefers_small_differences():
 def test_pair_selection_needs_two_strings():
     with pytest.raises(MergeError):
         select_merge_pair([OnConfig.from_string("10")])
+
+
+def _all_pairs_selection(support, ties):
+    """Reference rule: score every pair by (distance, controls, strings).
+    Appends to ties the number of pairs at the minimum distance and how many
+    control counts they take."""
+    strings = sorted(support, key=str)
+    keys = [
+        (*_pair_cost(pair, strings), str(pair[0]), str(pair[1]), pair)
+        for pair in itertools.combinations(strings, 2)
+    ]
+    best_key = min(keys)
+    nearest = {key[1] for key in keys if key[0] == best_key[0]}
+    ties.append((sum(key[0] == best_key[0] for key in keys), len(nearest)))
+    best = best_key[-1]
+    pivot = xor_support(*best)[0]
+    return best if best[0][pivot] else (best[1], best[0])
+
+
+def _random_support_spec(rng: random.Random):
+    """Distinct strings of one Hamming weight on 6-10 qubits, K = 3-30 (capped
+    by the sector size), with normalized coefficients bounded away from zero."""
+    n = rng.randint(6, 10)
+    weight = rng.randint(1, n - 1)
+    k = min(rng.randint(3, 30), math.comb(n, weight))
+    strings: set[str] = set()
+    while len(strings) < k:
+        ones = set(rng.sample(range(n), weight))
+        strings.add("".join("1" if q in ones else "0" for q in range(n)))
+    coeffs = [rng.choice((-1, 1)) * rng.uniform(0.2, 1.0) for _ in strings]
+    norm = math.sqrt(math.fsum(c * c for c in coeffs))
+    return validate_spec([(c / norm, s) for c, s in zip(coeffs, sorted(strings))])
+
+
+def test_merge_plan_matches_all_pairs_reference(monkeypatch):
+    # Only pairs at the minimum distance are scored; the plan must equal the
+    # one from scoring every pair, including steps where several pairs tie
+    # on distance and the control count decides.
+    rng = random.Random(67)
+    specs = [_random_support_spec(rng) for _ in range(40)]
+    pruned = [plan_merges(spec) for spec in specs]
+    ties: list[tuple[int, int]] = []
+    monkeypatch.setattr(ssp, "select_merge_pair", lambda s: _all_pairs_selection(s, ties))
+    assert pruned == [plan_merges(spec) for spec in specs]
+    assert sum(n > 1 for n, _ in ties) > 100
+    assert sum(counts > 1 for _, counts in ties) > 10
 
 
 def test_merge_plan_accumulates_positive_survivor_weight():
