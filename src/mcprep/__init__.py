@@ -76,6 +76,7 @@ from .simulator import (
     Spectrum,
     StateVector,
     circuit_unitary,
+    energy_gradient,
     evolve,
     exact_spectrum,
     expectation,

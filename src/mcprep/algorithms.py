@@ -15,6 +15,7 @@ from .paulis import PauliSum
 from .simulator import (
     MAX_DENSE_EVOLVE_QUBITS,
     StateVector,
+    energy_gradient,
     evolve,
     expectation,
     run_circuit,
@@ -108,15 +109,6 @@ class VqeResult:
     restarts_used: int
 
 
-def _central_difference_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift[i] = step
-        grad[i] = (fun(x + shift) - fun(x - shift)) / (2 * step)
-    return grad
-
-
 def vqe_minimize(
     h: PauliSum,
     spec: StateSpec,
@@ -129,10 +121,15 @@ def vqe_minimize(
     """Minimize <H> over the preparation circuit's free angles.
 
     The circuit structure comes from the spec's support set; the spec's
-    coefficients only matter as one possible point on the manifold. Runs a
-    quasi-Newton search with central-difference gradients from the given
-    start plus uniformly random restarts.
+    coefficients only matter as one possible point on the manifold. Runs
+    L-BFGS-B on exact adjoint gradients from the given start plus uniformly
+    random restarts; ``restarts`` counts every start and, like ``maxiter``,
+    must be at least 1.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     if method == "gr":
         circuit = synthesize_gr(spec, symbolic=True)
     elif method == "ssp":
@@ -143,10 +140,6 @@ def vqe_minimize(
     if not names:
         state = run_circuit(circuit)
         return VqeResult(expectation(state, h), {}, state, method, 0)
-
-    def objective(vec: np.ndarray) -> float:
-        bound = bind_parameters(circuit, dict(zip(names, vec)))
-        return expectation(run_circuit(bound), h)
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
@@ -164,9 +157,9 @@ def vqe_minimize(
     best: scipy.optimize.OptimizeResult | None = None
     for x0 in starts:
         result = scipy.optimize.minimize(
-            objective,
+            lambda v: energy_gradient(circuit, v, h),
             x0,
-            jac=lambda v: _central_difference_gradient(objective, v),
+            jac=True,
             method="L-BFGS-B",
             # Loose relative-decrease defaults park the search well above the
             # minimum on flat valleys; force gradient-driven termination.

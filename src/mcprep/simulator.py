@@ -9,7 +9,9 @@ to a hardware set first.
 A gate acts on tensor axes: the amplitudes are viewed as a (2,) * n tensor
 (axis q is qubit q), each control fixes its axis to its state, and the
 gate's matrix is contracted with the target axes of that view in place.
-Subspace matrices are blocks of the operator sum's own kernel.
+The energy gradient of a symbolic circuit reuses that contraction in one
+backward pass (adjoint differentiation). Subspace matrices are blocks of the
+operator sum's own kernel.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_matrix
+from .circuits import G2, G4, RY, Circuit, Gate, gate_matrix
 from .configs import OnConfig, StateSpec
 from .paulis import PauliSum, expectation_of_sum
 
@@ -71,17 +73,27 @@ class StateVector:
         return StateVector(self.amps.copy(), self.n_qubits)
 
 
+def _control_view(amps: np.ndarray, n: int, controls) -> np.ndarray:
+    """The (2,) * n tensor view of a C-contiguous (dim,) or (dim, batch) array
+    with each control axis fixed to its state."""
+    index = [slice(None)] * n
+    for q, state in controls:
+        index[q] = slice(state, state + 1)
+    return amps.reshape((2,) * n + amps.shape[1:])[tuple(index)]
+
+
+def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets, controls) -> np.ndarray:
+    """Apply a matrix over the target axes, under controls, in place."""
+    m = len(targets)
+    view = _control_view(amps, n, controls)
+    out = np.tensordot(u.reshape((2,) * (2 * m)), view, axes=(range(m, 2 * m), targets))
+    view[...] = np.moveaxis(out, range(m), targets)
+    return amps
+
+
 def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
     """Apply one gate in place to a C-contiguous (dim,) or (dim, batch) array."""
-    m = len(g.targets)
-    u = gate_matrix(g.kind, g.numeric_params()).reshape((2,) * (2 * m))
-    index = [slice(None)] * n
-    for q, state in g.controls:
-        index[q] = slice(state, state + 1)
-    view = amps.reshape((2,) * n + amps.shape[1:])[tuple(index)]
-    out = np.tensordot(u, view, axes=(range(m, 2 * m), g.targets))
-    view[...] = np.moveaxis(out, range(m), g.targets)
-    return amps
+    return _apply_matrix(amps, n, gate_matrix(g.kind, g.numeric_params()), g.targets, g.controls)
 
 
 def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -99,6 +111,64 @@ def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
     for g in c.gates:
         _apply_gate(state.amps, c.n_qubits, g)
     return state
+
+
+# Each kind that may carry a symbolic angle has dU/dtheta = A U over its
+# targets with a generator A that is w at (a, b), -w at (b, a) and zero
+# elsewhere; the entries are (a, b, w) with the first target as the most
+# significant bit of a pattern.
+_GENERATORS = {RY: (0b0, 0b1, -0.5), G2: (0b01, 0b10, 1.0), G4: (0b0011, 0b1100, 1.0)}
+
+
+def _pattern_index(n: int, targets, pattern: int) -> tuple:
+    """Index fixing the target axes of a (2,) * n view to a bit pattern."""
+    index = [slice(None)] * n
+    for k, q in enumerate(reversed(targets)):
+        index[q] = (pattern >> k) & 1
+    return tuple(index)
+
+
+def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
+    """<H> in the state the circuit prepares from |0...0>, with the angles
+    taken in the order of ``c.parameters``, and its gradient in that order.
+
+    Adjoint differentiation: a forward pass prepares psi and lambda = H psi;
+    a backward pass undoes the gates on both down to the first symbolic one,
+    and every symbolic gate adds 2 Re <lambda| P_c A |psi>, where P_c
+    projects on its control states and A is its generator.
+    """
+    names = c.parameters
+    if len(angles) != len(names):
+        raise ValueError(f"expected {len(names)} angles, got {len(angles)}")
+    if c.n_qubits > MAX_SIM_QUBITS:
+        raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
+    position = {name: k for k, name in enumerate(names)}
+    n = c.n_qubits
+    psi = StateVector.zero_state(n).amps
+    steps = []
+    for g in c.gates:
+        symbols = g.symbols
+        if symbols and g.kind not in _GENERATORS:
+            raise ValueError(f"no generator for a symbolic {g.kind} gate")
+        params = tuple(angles[position[p]] if isinstance(p, str) else float(p) for p in g.params)
+        u = gate_matrix(g.kind, params)
+        _apply_matrix(psi, n, u, g.targets, g.controls)
+        if symbols or steps:
+            steps.append((g, u, symbols))
+    lam = h.apply(psi)
+    energy = complex(np.vdot(psi, lam)).real
+    pair = np.stack([psi, lam], axis=1)
+    grad = np.zeros(len(names))
+    for g, u, symbols in reversed(steps):
+        if symbols:
+            a, b, w = _GENERATORS[g.kind]
+            view = _control_view(pair, n, g.controls)
+            at_a = view[_pattern_index(n, g.targets, a)]
+            at_b = view[_pattern_index(n, g.targets, b)]
+            term = np.vdot(at_a[..., 1], at_b[..., 0]) - np.vdot(at_b[..., 1], at_a[..., 0])
+            grad[position[symbols[0]]] += 2 * w * term.real
+        _apply_matrix(pair, n, u.conj().T, g.targets, g.controls)
+    return energy, grad
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

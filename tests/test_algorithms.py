@@ -26,6 +26,7 @@ from mcprep.configs import (
     OnConfig,
     apply_excitation,
     cisd_excitations,
+    generate_cisd_configs,
     hamming,
     validate_spec,
 )
@@ -176,13 +177,15 @@ def test_degenerate_guard_from_real_moments():
 
 def test_vqe_reaches_subspace_ground_energy_both_methods():
     rng = np.random.default_rng(73)
-    configs = [OnConfig.from_string(s) for s in TWO_ORBITAL_SECTOR]
-    spec = validate_spec([(0.5, s) for s in TWO_ORBITAL_SECTOR])
-    for _ in range(5):
-        h = number_conserving_hamiltonian(rng, 4)
+    # The 6-qubit CISD(3,2) support (K = 9) makes both ansatze controlled.
+    cisd = [str(x) for x in generate_cisd_configs(3, 2)]
+    for support, restarts in [(TWO_ORBITAL_SECTOR, 3)] * 5 + [(cisd, 1)]:
+        configs = [OnConfig.from_string(s) for s in support]
+        spec = validate_spec([(1 / math.sqrt(len(support)), s) for s in support])
+        h = number_conserving_hamiltonian(rng, len(support[0]))
         exact = subspace_diag(h, configs).values[0]
-        gr = vqe_minimize(h, spec, method="gr", seed=7)
-        ssp = vqe_minimize(h, spec, method="ssp", seed=7)
+        gr = vqe_minimize(h, spec, method="gr", restarts=restarts, seed=7)
+        ssp = vqe_minimize(h, spec, method="ssp", restarts=restarts, seed=7)
         assert gr.energy == pytest.approx(exact, abs=1e-6)
         assert ssp.energy == pytest.approx(exact, abs=1e-6)
         assert abs(gr.energy - ssp.energy) < 1e-6

@@ -436,6 +436,23 @@ def test_cli_vqe_respects_variational_bound(tmp_path, capsys):
     assert report["restarts_used"] >= 1
 
 
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [("ssp", "--restarts", "0"), ("gr", "--restarts", "0"), ("ssp", "--restarts", "-1"),
+     ("gr", "--maxiter", "0"), ("ssp", "--maxiter", "-3")],
+)
+def test_cli_vqe_rejects_counts_below_one(tmp_path, capsys, method, flag, value):
+    spec_path = write(tmp_path, "state.txt", SPEC_TEXT)
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    code, report, err = run_cli(
+        capsys,
+        ["vqe", "--spec", spec_path, "--hamiltonian", ham_path, "--method", method, flag, value],
+    )
+    assert code == 1
+    assert report is None
+    assert err.startswith(f"error: {flag[2:]} must be at least 1, got {value}")
+
+
 def test_cli_sceom(tmp_path, capsys):
     ham_path = write(tmp_path, "h.txt", HAM_TEXT)
     code, report, _ = run_cli(

@@ -6,7 +6,12 @@ import pytest
 import scipy.linalg
 
 from mcprep.circuits import (
+    G2,
+    G4,
+    RY,
+    SWAP,
     Circuit,
+    bind_parameters,
     cnot_gate,
     g2_gate,
     ry_gate,
@@ -14,12 +19,14 @@ from mcprep.circuits import (
     x_gate,
     zzmax_gate,
 )
-from mcprep.configs import OnConfig, validate_spec
+from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec
+from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
     StateVector,
     Spectrum,
     circuit_unitary,
+    energy_gradient,
     evolve,
     exact_spectrum,
     expectation,
@@ -29,6 +36,7 @@ from mcprep.simulator import (
     subspace_diag,
     subspace_matrix,
 )
+from mcprep.ssp import synthesize_ssp
 
 
 def random_word(rng, n: int) -> PauliWord:
@@ -121,6 +129,41 @@ def test_run_circuit_guards():
         run_circuit(Circuit(2, ()), StateVector.zero_state(1))
     with pytest.raises(ValueError):
         circuit_unitary(Circuit(13, ()))
+
+
+def test_energy_gradient_matches_central_differences():
+    rng = np.random.default_rng(41)
+    supports = [
+        ["1100", "1001", "0110", "0011"],
+        [str(x) for x in generate_cisd_configs(3, 2)],
+        # 111000 and 000111 are six flips apart: a controlled-SWAP walk.
+        ["111000", "000111", "101010"],
+        ["11110000", "00001111", "11001100", "10101010", "01010101"],
+        [str(x) for x in generate_cisd_configs(4, 2)],
+    ]
+    step = 1e-6
+    seen = set()
+    for support in supports:
+        n = len(support[0])
+        spec = validate_spec([(1 / math.sqrt(len(support)), s) for s in support])
+        h = random_sum(rng, n, 4 * n)
+        for synthesize in (synthesize_gr, synthesize_ssp):
+            c = synthesize(spec, symbolic=True)
+            seen.update((g.kind, bool(g.controls)) for g in c.gates)
+            names = c.parameters
+
+            def energy(vec):
+                return expectation(run_circuit(bind_parameters(c, dict(zip(names, vec)))), h)
+
+            angles = rng.uniform(-math.pi, math.pi, len(names))
+            value, grad = energy_gradient(c, angles, h)
+            assert value == pytest.approx(energy(angles), abs=1e-12)
+            reference = np.array([
+                (energy(angles + step * e) - energy(angles - step * e)) / (2 * step)
+                for e in np.eye(len(names))
+            ])
+            assert np.max(np.abs(grad - reference)) < 1e-6
+    assert {(RY, True), (G2, True), (G4, False), (G4, True), (SWAP, True)} <= seen
 
 
 def test_fidelity_up_to_phase_ignores_global_phase():
