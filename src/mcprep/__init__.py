@@ -28,11 +28,9 @@ from .circuits import (
     UnboundParameterError,
     bind_parameters,
     compile_circuit,
-    concatenate,
     count_resources,
     gate_matrix,
     gateset_by_name,
-    inverse,
 )
 from .configs import (
     ExcitationOp,
@@ -54,15 +52,12 @@ from .fileio import (
     circuit_to_json,
     parse_hamiltonian,
     parse_state_spec,
-    render_hamiltonian,
-    render_state_spec,
 )
 from .givens import (
     AngleUnderflowError,
     PlanError,
     RotationPlan,
     angles_from_coefficients,
-    natural_gr_binding,
     plan_rotations,
     synthesize_gr,
 )
@@ -89,9 +84,7 @@ from .simulator import (
 from .ssp import (
     MergeError,
     MergeStep,
-    disentangling_circuit,
     merge_angle,
-    natural_ssp_binding,
     plan_merges,
     synthesize_ssp,
 )

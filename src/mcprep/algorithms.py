@@ -97,6 +97,16 @@ def cmx2(c: CumulantSet) -> float:
     return c.c1 - c.c2**2 / c.c3
 
 
+def synthesize(spec: StateSpec, method: str, symbolic: bool = False) -> Circuit:
+    """Preparation circuit of a spec by controlled Givens rotations (``gr``)
+    or by pairwise merging (``ssp``)."""
+    if method == "gr":
+        return synthesize_gr(spec, symbolic=symbolic)
+    if method == "ssp":
+        return synthesize_ssp(spec, symbolic=symbolic)
+    raise ValueError(f"unknown method {method!r}")
+
+
 # --- variational ground-state search -----------------------------------------
 
 
@@ -130,12 +140,7 @@ def vqe_minimize(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
-    if method == "gr":
-        circuit = synthesize_gr(spec, symbolic=True)
-    elif method == "ssp":
-        circuit = synthesize_ssp(spec, symbolic=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    circuit = synthesize(spec, method, symbolic=True)
     names = circuit.parameters
     if not names:
         state = run_circuit(circuit)
@@ -205,8 +210,8 @@ def _spectral_range(h: PauliSum) -> float:
 def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if tau <= 0:
-        raise ValueError("sampling step must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"sampling step must be finite and positive, got {tau}")
     spread = _spectral_range(h)
     if spread > 0 and tau >= 2 * math.pi / spread:
         raise TauTooLarge(f"step {tau} aliases spectral range {spread:.6g}")
@@ -325,9 +330,12 @@ def _excited_configs(hf: OnConfig, excitations) -> tuple[list[OnConfig], list[in
     return configs, signs
 
 
-def _prepare(spec: StateSpec, method: str) -> StateVector:
-    circuit = synthesize_gr(spec) if method == "gr" else synthesize_ssp(spec)
-    return run_circuit(circuit)
+def _pair_spec(configs, signs, i: int, j: int) -> StateSpec:
+    """Symmetric superposition of excited configurations i and j."""
+    inv_sqrt2 = 1 / math.sqrt(2)
+    return validate_spec(
+        [(signs[i] * inv_sqrt2, configs[i]), (signs[j] * inv_sqrt2, configs[j])]
+    )
 
 
 def sceom_m_matrix(
@@ -344,29 +352,24 @@ def sceom_m_matrix(
     each with the ground energy subtracted. prep_method chooses how those
     probe states are synthesized.
     """
-    if prep_method not in ("gr", "ssp"):
-        raise ValueError(f"unknown prep method {prep_method!r}")
     excitations = tuple(excitations)
     configs, signs = _excited_configs(hf, excitations)
 
-    ground = run_circuit(ansatz, _prepare(validate_spec([(1.0, hf)]), prep_method))
-    e_ground = expectation(ground, h)
+    def energy(spec: StateSpec) -> float:
+        prepared = run_circuit(synthesize(spec, prep_method))
+        return expectation(run_circuit(ansatz, prepared), h)
+
+    e_ground = energy(validate_spec([(1.0, hf)]))
 
     size = len(configs)
     diag = np.empty(size)
     for i, x in enumerate(configs):
-        probe = _prepare(validate_spec([(1.0, x)]), prep_method)
-        diag[i] = expectation(run_circuit(ansatz, probe), h) - e_ground
+        diag[i] = energy(validate_spec([(1.0, x)])) - e_ground
 
     m = np.diag(diag)
-    inv_sqrt2 = 1 / math.sqrt(2)
     for i in range(size):
         for j in range(i + 1, size):
-            spec = validate_spec(
-                [(signs[i] * inv_sqrt2, configs[i]), (signs[j] * inv_sqrt2, configs[j])]
-            )
-            probe = _prepare(spec, prep_method)
-            pair_energy = expectation(run_circuit(ansatz, probe), h) - e_ground
+            pair_energy = energy(_pair_spec(configs, signs, i, j)) - e_ground
             m[i, j] = m[j, i] = pair_energy - diag[i] / 2 - diag[j] / 2
     return MMatrix(m, e_ground, excitations, tuple(configs), tuple(signs))
 
@@ -399,13 +402,10 @@ def sceom_element_resources(hf: OnConfig, excitations, gateset_name: str = "zz")
 
     gateset = gateset_by_name(gateset_name)
     configs, signs = _excited_configs(hf, tuple(excitations))
-    inv_sqrt2 = 1 / math.sqrt(2)
     out = []
     for i in range(len(configs)):
         for j in range(i + 1, len(configs)):
-            spec = validate_spec(
-                [(signs[i] * inv_sqrt2, configs[i]), (signs[j] * inv_sqrt2, configs[j])]
-            )
+            spec = _pair_spec(configs, signs, i, j)
             gr = count_resources(compile_circuit(synthesize_gr(spec), gateset))
             ssp = count_resources(compile_circuit(synthesize_ssp(spec), gateset))
             out.append(

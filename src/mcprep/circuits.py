@@ -169,39 +169,7 @@ class Circuit:
         return tuple(sorted(names))
 
 
-def concatenate(*circuits: Circuit) -> Circuit:
-    width = {c.n_qubits for c in circuits}
-    if len(width) != 1:
-        raise ValueError(f"register mismatch: {sorted(width)}")
-    gates: tuple[Gate, ...] = ()
-    for c in circuits:
-        gates += c.gates
-    return Circuit(width.pop(), gates)
-
-
 _SELF_INVERSE = {X, CNOT, SWAP}
-_INVERT_ANGLE = {RY, RZ, G2, G4}
-
-
-def inverse(c: Circuit) -> Circuit:
-    """Reversed circuit with each gate inverted. ZZMax has no in-set inverse."""
-    out = []
-    for g in reversed(c.gates):
-        if g.kind in _SELF_INVERSE:
-            out.append(g)
-        elif g.kind in _INVERT_ANGLE:
-            p = g.params[0]
-            if isinstance(p, str):
-                raise UnboundParameterError(f"cannot invert symbolic angle {p!r}")
-            out.append(dataclasses.replace(g, params=(-p,)))
-        elif g.kind == PHASEDX:
-            a, b = g.params
-            if isinstance(a, str) or isinstance(b, str):
-                raise UnboundParameterError("cannot invert symbolic PhasedX")
-            out.append(dataclasses.replace(g, params=(-a, b)))
-        else:
-            raise ValueError(f"no in-set inverse for {g.kind}")
-    return Circuit(c.n_qubits, tuple(out))
 
 
 def bind_parameters(c: Circuit, values: dict[str, float]) -> Circuit:

@@ -12,27 +12,17 @@ import sys
 
 from . import algorithms, fileio
 from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
-from .configs import SpecValidationError, StateSpec, cisd_excitations, hartree_fock_config
-from .givens import AngleUnderflowError, PlanError, synthesize_gr
+from .configs import StateSpec, cisd_excitations, hartree_fock_config
 from .paulis import PauliSum
 from .simulator import StateVector, exact_spectrum, fidelity_up_to_phase, moments, run_circuit
-from .ssp import MergeError, synthesize_ssp
 
 REPORT_SCHEMA = "mcprep/1"
 SYNTH_FIDELITY = 1e-9
 EXACT_REFERENCE_MAX_QUBITS = 10
 
-_USER_ERRORS = (
-    fileio.ParseError,
-    SpecValidationError,
-    AngleUnderflowError,
-    PlanError,
-    MergeError,
-    algorithms.TauTooLarge,
-    ArithmeticError,
-    ValueError,
-    OSError,
-)
+# The package's own input errors (ParseError, SpecValidationError,
+# AngleUnderflowError, PlanError, MergeError, TauTooLarge) are ValueErrors.
+_USER_ERRORS = (ArithmeticError, ValueError, OSError)
 
 
 def _read(path: str) -> str:
@@ -40,16 +30,10 @@ def _read(path: str) -> str:
 
 
 def _emit(command: str, body: dict) -> None:
+    """Print the report; a non-finite number raises ValueError before any output."""
     report = {"schema": REPORT_SCHEMA, "command": command}
     report.update(body)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _synthesize(spec: StateSpec, method: str) -> Circuit:
-    if method == "gr":
-        return synthesize_gr(spec)
-    return synthesize_ssp(spec)
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _counts_dict(c: Circuit) -> dict:
@@ -63,7 +47,7 @@ def _counts_dict(c: Circuit) -> dict:
 
 
 def _synth_one(spec: StateSpec, method: str, gateset_name: str) -> tuple[dict, Circuit, bool]:
-    raw = _synthesize(spec, method)
+    raw = algorithms.synthesize(spec, method)
     emitted = raw if gateset_name == "none" else compile_circuit(raw, gateset_by_name(gateset_name))
     fidelity = fidelity_up_to_phase(run_circuit(emitted), StateVector.from_spec(spec))
     ok = fidelity >= 1 - SYNTH_FIDELITY
@@ -135,7 +119,7 @@ def _cmd_resources(args) -> int:
     gateset = gateset_by_name(args.gateset)
     per_method = {}
     for method in methods:
-        compiled = compile_circuit(_synthesize(spec, method), gateset)
+        compiled = compile_circuit(algorithms.synthesize(spec, method), gateset)
         per_method[method] = _counts_dict(compiled)
     _emit(
         "resources",
@@ -190,7 +174,7 @@ def parse_matching_hamiltonian(path: str, n_qubits: int) -> PauliSum:
 def _cmd_moments(args) -> int:
     spec = fileio.parse_state_spec(_read(args.spec))
     h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
-    state = run_circuit(_synthesize(spec, args.method))
+    state = run_circuit(algorithms.synthesize(spec, args.method))
     mu = moments(state, h, 4)
     c = algorithms.cumulants(mu)
     body = {
@@ -217,7 +201,7 @@ def _cmd_moments(args) -> int:
 def _cmd_qcels(args) -> int:
     spec = fileio.parse_state_spec(_read(args.spec))
     h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
-    state = run_circuit(_synthesize(spec, args.method))
+    state = run_circuit(algorithms.synthesize(spec, args.method))
     series = algorithms.qcels_series(state, h, args.tau, args.samples)
     estimate = algorithms.qcels_estimate(series)
     body = {
@@ -277,6 +261,8 @@ def _cmd_sceom(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     h = fileio.parse_hamiltonian(_read(args.hamiltonian))
     values = exact_spectrum(h).values
     count = min(args.count, values.size)

@@ -122,10 +122,6 @@ class ExcitationOp:
         if set(ann) & set(cre):
             raise ValueError(f"annihilate and create overlap: {ann} vs {cre}")
 
-    @property
-    def rank(self) -> int:
-        return len(self.annihilate)
-
 
 def _jw_parity(bits: list[int], mode: int) -> int:
     """Parity sign from occupied modes with index lower than the acted mode."""

@@ -67,10 +67,6 @@ def parse_hamiltonian(text: str) -> PauliSum:
     return PauliSum.from_terms(pairs, width)
 
 
-def render_hamiltonian(h: PauliSum) -> str:
-    return "".join(f"{coeff:.17g} {word}\n" for coeff, word in h.terms())
-
-
 def parse_state_spec(text: str) -> StateSpec:
     """Read ``coefficient bitstring`` lines into a validated spec.
 
@@ -95,14 +91,6 @@ def parse_state_spec(text: str) -> StateSpec:
         raise ParseError("no state entries found")
     spec = validate_spec(entries)
     return spec if ordered else spec.reordered_largest_first()
-
-
-def render_state_spec(spec: StateSpec) -> str:
-    """Inverse of parse_state_spec; emits the ``ordered`` header so the entry
-    order round-trips exactly."""
-    lines = ["ordered\n"]
-    lines += [f"{coeff:.17g} {config}\n" for coeff, config in spec.entries]
-    return "".join(lines)
 
 
 def _angle_to_json(value):

@@ -262,8 +262,3 @@ def synthesize_gr(
         gates.extend(_rotation_gates(rot, angle))
     return Circuit(spec.n_q, tuple(gates))
 
-
-def natural_gr_binding(spec: StateSpec) -> dict[str, float]:
-    """Parameter values under which the symbolic circuit prepares the spec."""
-    values = angles_from_coefficients(spec.coefficients)
-    return {f"theta_{i}": v for i, v in enumerate(values, start=1)}

@@ -147,15 +147,9 @@ class PauliSum:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, word: PauliWord) -> float:
-        return self._terms.get(word, 0.0)
-
     @property
     def identity_coefficient(self) -> float:
         return self._terms.get(PauliWord(0, 0, self.n_qubits), 0.0)
-
-    def scaled(self, factor: float) -> PauliSum:
-        return PauliSum({w: c * factor for w, c in self._terms.items()}, self.n_qubits)
 
     def shifted(self, offset: float) -> PauliSum:
         """Add offset times the identity word."""

@@ -16,7 +16,6 @@ operator sum's own kernel.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -65,9 +64,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, config: OnConfig) -> complex:
-        return complex(self.amps[config.index])
 
     def copy(self) -> StateVector:
         return StateVector(self.amps.copy(), self.n_qubits)

@@ -138,12 +138,6 @@ def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
     return steps, next(iter(amplitudes))
 
 
-def _disentangle_gates(step: MergeStep, angle) -> list[Gate]:
-    out: list[Gate] = [cnot_gate(step.pivot, q) for q in step.conjugations]
-    out.append(ry_gate(step.pivot, angle, step.controls))
-    return out
-
-
 def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:
     """Preparation circuit mapping |0...0> to the specified state.
 
@@ -159,18 +153,3 @@ def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:
         gates.extend(cnot_gate(step.pivot, q) for q in reversed(step.conjugations))
     return Circuit(spec.n_q, tuple(gates))
 
-
-def natural_ssp_binding(spec: StateSpec) -> dict[str, float]:
-    """Parameter values under which the symbolic circuit prepares the spec."""
-    steps, _ = plan_merges(spec)
-    return {f"theta_{i}": -step.pivot_rotation for i, step in enumerate(steps, start=1)}
-
-
-def disentangling_circuit(spec: StateSpec) -> Circuit:
-    """The forward (state to |0...0>) direction, mainly for inspection."""
-    steps, survivor = plan_merges(spec)
-    gates: list[Gate] = []
-    for step in steps:
-        gates.extend(_disentangle_gates(step, step.pivot_rotation))
-    gates.extend(x_gate(q) for q in survivor.occupied)
-    return Circuit(spec.n_q, tuple(gates))

@@ -22,14 +22,12 @@ from mcprep.circuits import (
     bind_parameters,
     cnot_gate,
     compile_circuit,
-    concatenate,
     count_resources,
     decompose_gate,
     g2_gate,
     g4_gate,
     gate_matrix,
     gateset_by_name,
-    inverse,
     phasedx_gate,
     ry_gate,
     rz_gate,
@@ -225,33 +223,6 @@ def test_parameters_collected_sorted_and_bindable():
         bind_parameters(c, {"a": 0.1})
     with pytest.raises(ValueError):
         bind_parameters(c, {"a": 0.1, "b": 0.2, "zz": 3.0})
-
-
-def test_concatenate_joins_same_width_circuits():
-    a = Circuit(3, (x_gate(0),))
-    b = Circuit(3, (cnot_gate(0, 1),))
-    joined = concatenate(a, b)
-    assert len(joined.gates) == 2
-    with pytest.raises(ValueError):
-        concatenate(a, Circuit(2, ()))
-
-
-def test_inverse_undoes_bound_circuits():
-    rng = np.random.default_rng(22)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        c = random_circuit(rng, n, 8)
-        if any(g.kind == ZZMAX for g in c.gates):
-            with pytest.raises(ValueError):
-                inverse(c)
-            continue
-        u = circuit_unitary(concatenate(c, inverse(c)))
-        assert max_phase_deviation(u, np.eye(1 << n)) < 1e-10
-
-
-def test_inverse_rejects_symbolic_angles():
-    with pytest.raises(UnboundParameterError):
-        inverse(Circuit(1, (ry_gate(0, "t"),)))
 
 
 # --- template decompositions vs analytic unitaries -----------------------------

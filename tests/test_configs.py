@@ -102,7 +102,7 @@ def test_excitation_op_validation():
         ExcitationOp((0,), (0,))
     with pytest.raises(ValueError):
         ExcitationOp((-1,), (2,))
-    assert ExcitationOp((0, 2), (1, 3)).rank == 2
+    assert len(ExcitationOp((0, 2), (1, 3)).annihilate) == 2
 
 
 def test_apply_excitation_matches_dense_ladder_oracle():
@@ -152,8 +152,8 @@ def test_cisd_excitations_match_brute_force_spin_filter():
         for cre in itertools.combinations(virt, 2)
         if sorted(q % 2 for q in ann) == sorted(q % 2 for q in cre)
     }
-    got_singles = {(op.annihilate[0], op.create[0]) for op in cisd_excitations(hf) if op.rank == 1}
-    got_doubles = {(op.annihilate, op.create) for op in cisd_excitations(hf) if op.rank == 2}
+    got_singles = {(op.annihilate[0], op.create[0]) for op in cisd_excitations(hf) if len(op.annihilate) == 1}
+    got_doubles = {(op.annihilate, op.create) for op in cisd_excitations(hf) if len(op.annihilate) == 2}
     assert got_singles == singles
     assert got_doubles == doubles
 

@@ -90,8 +90,7 @@ def test_sum_collects_terms_and_drops_zeros():
     w = PauliWord.from_string("XZ")
     s = PauliSum.from_terms([(1.5, w), (-1.5, w), (0.25, "IZ")])
     assert s.n_terms == 1
-    assert s.coefficient(PauliWord.from_string("IZ")) == 0.25
-    assert s.coefficient(w) == 0.0
+    assert [(c, str(word)) for c, word in s.terms()] == [(0.25, "IZ")]
 
 
 def structured_terms(rng, n: int) -> dict[PauliWord, float]:
@@ -143,7 +142,6 @@ def test_identity_coefficient_and_trace():
     assert h.identity_coefficient == 0.5
     assert h.identity_coefficient == pytest.approx(np.trace(h.matrix()).real / 4)
     assert h.shifted(-0.5).identity_coefficient == 0.0
-    assert np.allclose(h.scaled(2.0).matrix(), 2 * h.matrix())
 
 
 def test_x_plus_z_squares_to_twice_identity():

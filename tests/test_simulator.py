@@ -15,7 +15,6 @@ from mcprep.circuits import (
     cnot_gate,
     g2_gate,
     ry_gate,
-    rz_gate,
     x_gate,
     zzmax_gate,
 )
@@ -24,7 +23,6 @@ from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
     StateVector,
-    Spectrum,
     circuit_unitary,
     energy_gradient,
     evolve,
@@ -62,7 +60,6 @@ def test_state_constructors():
     cfg = OnConfig.from_string("101")
     b = StateVector.basis_state(cfg)
     assert b.amps[5] == 1.0
-    assert b.amplitude(cfg) == 1.0
     spec = validate_spec([(0.6, "10"), (0.8, "01")])
     s = StateVector.from_spec(spec)
     assert s.amps[1] == pytest.approx(0.8)  # "01" is index 1

@@ -10,10 +10,13 @@ from mcprep.circuits import (
     CNOT,
     RY,
     X,
+    Circuit,
     bind_parameters,
+    cnot_gate,
     compile_circuit,
     count_resources,
     gateset_by_name,
+    ry_gate,
 )
 from mcprep import ssp
 from mcprep.configs import OnConfig, validate_spec, xor_support
@@ -22,14 +25,12 @@ from mcprep.simulator import StateVector, fidelity_up_to_phase, run_circuit
 from mcprep.ssp import (
     MergeError,
     _pair_cost,
-    disentangling_circuit,
     merge_angle,
-    natural_ssp_binding,
     plan_merges,
     select_merge_pair,
     synthesize_ssp,
 )
-from tests.test_givens import random_equal_weight_spec
+from tests.test_givens import angles_read_off, random_equal_weight_spec
 
 
 # --- merge angles ----------------------------------------------------------------
@@ -139,17 +140,30 @@ def test_merge_plan_matches_all_pairs_reference(monkeypatch):
     assert sum(counts > 1 for _, counts in ties) > 10
 
 
-def test_merge_plan_accumulates_positive_survivor_weight():
-    spec = validate_spec([(0.5, "1100"), (-0.5, "1010"), (0.5, "0110"), (-0.5, "0011")])
+def replay_merges(spec):
+    """The spec's state followed by its state after each forward merge step
+    (fold the pair onto the pivot, then rotate the pivot), and the survivor."""
     steps, survivor = plan_merges(spec)
-    assert len(steps) == 3
-    # Replaying the merges on the coefficient table ends at weight one.
-    total = 0.0
+    states = [StateVector.from_spec(spec)]
     for step in steps:
-        total = math.hypot(total, 0.0)  # merged weights tracked inside plan
-    final = math.sqrt(math.fsum(c * c for c in spec.coefficients))
-    assert final == pytest.approx(1.0, abs=1e-12)
+        gates = [cnot_gate(step.pivot, q) for q in step.conjugations]
+        gates.append(ry_gate(step.pivot, step.pivot_rotation, step.controls))
+        states.append(run_circuit(Circuit(spec.n_q, tuple(gates)), states[-1]))
+    return states, survivor
+
+
+def test_merge_plan_accumulates_positive_survivor_weight():
+    # Every merge keeps the positive root, so the survivor ends at +1, not -1.
+    spec = validate_spec([(0.5, "1100"), (-0.5, "1010"), (0.5, "0110"), (-0.5, "0011")])
+    states, survivor = replay_merges(spec)
+    assert len(states) == 4
     assert survivor in spec.configs
+    assert abs(states[-1].amps[survivor.index] - 1.0) < 1e-12
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        spec = random_equal_weight_spec(rng, int(rng.integers(2, 8)), int(rng.integers(2, 7)))
+        states, survivor = replay_merges(spec)
+        assert abs(states[-1].amps[survivor.index] - 1.0) < 1e-12
 
 
 # --- circuit structure ----------------------------------------------------------------
@@ -191,9 +205,8 @@ def test_symbolic_rotations_bind_to_natural_values():
     spec = validate_spec([(0.8, "1100"), (0.36, "1010"), (0.48, "0011")])
     symbolic = synthesize_ssp(spec, symbolic=True)
     assert symbolic.parameters == ("theta_1", "theta_2")
-    bound = bind_parameters(symbolic, natural_ssp_binding(spec))
-    out = run_circuit(bound)
-    assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-12
+    numeric = synthesize_ssp(spec)
+    assert bind_parameters(symbolic, angles_read_off(symbolic, numeric)) == numeric
 
 
 def test_prepared_state_is_exact_and_sector_confined():
@@ -227,21 +240,11 @@ def test_disentangling_prefixes_telescope_support():
     spec = validate_spec(
         [(0.5, "110010"), (0.5, "101010"), (0.5, "011100"), (0.5, "000111")]
     )
-    steps, survivor = plan_merges(spec)
-    forward = disentangling_circuit(spec)
-    state = StateVector.from_spec(spec)
-    from mcprep.circuits import Circuit
-    from mcprep.ssp import _disentangle_gates
-
-    sizes = [np.count_nonzero(np.abs(state.amps) > 1e-12)]
-    for step in steps:
-        seg = Circuit(spec.n_q, tuple(_disentangle_gates(step, step.pivot_rotation)))
-        state = run_circuit(seg, state)
-        sizes.append(int(np.count_nonzero(np.abs(state.amps) > 1e-12)))
+    states, survivor = replay_merges(spec)
+    sizes = [int(np.count_nonzero(np.abs(s.amps) > 1e-12)) for s in states]
     assert sizes == [4, 3, 2, 1]
-    # The whole forward circuit ends at |0...0> up to sign.
-    final = run_circuit(forward, StateVector.from_spec(spec))
-    assert abs(abs(final.amps[0]) - 1.0) < 1e-12
+    # The last step leaves the whole weight on the survivor.
+    assert abs(abs(states[-1].amps[survivor.index]) - 1.0) < 1e-12
 
 
 def test_sparse_method_never_beats_rotation_ladder_backwards():
