@@ -38,6 +38,9 @@ class TauTooLarge(ValueError):
 NEAR_EIGENSTATE_VARIANCE = 1e-12
 DEGENERACY_TOLERANCE = 1e-12
 SYMMETRY_TOLERANCE = 1e-6
+# The dense QCELS path holds a samples x 2^n complex array: 64 MB at this cap
+# and 10 qubits.
+MAX_QCELS_SAMPLES = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,8 +211,8 @@ def _spectral_range(h: PauliSum) -> float:
 
 
 def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    if not 2 <= n_samples <= MAX_QCELS_SAMPLES:
+        raise ValueError(f"samples must run from 2 to {MAX_QCELS_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"sampling step must be finite and positive, got {tau}")
     spread = _spectral_range(h)

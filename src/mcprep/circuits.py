@@ -21,7 +21,9 @@ to units of pi at the file boundary (see fileio).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import struct
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +44,10 @@ PARAM_ARITY = {X: 0, RY: 1, RZ: 1, PHASEDX: 2, CNOT: 0, ZZMAX: 0, SWAP: 0, G2: 1
 _NULL_EPS = 1e-12
 
 
+def _wires(targets: tuple[int, ...], controls) -> tuple[int, ...]:
+    return targets + tuple(q for q, _ in controls) if controls else targets
+
+
 class UnboundParameterError(ValueError):
     """Raised when an operation needs numeric angles but symbols remain."""
 
@@ -59,18 +65,19 @@ class Gate:
     params: tuple[float | str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in TARGET_ARITY:
+        arity = TARGET_ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.targets) != TARGET_ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs {TARGET_ARITY[self.kind]} targets, got {self.targets}"
-            )
-        if len(set(self.targets)) != len(self.targets):
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} needs {arity} targets, got {self.targets}")
+        if arity > 1 and len(set(self.targets)) != arity:
             raise ValueError(f"repeated target in {self.targets}")
         if len(self.params) != PARAM_ARITY[self.kind]:
             raise ValueError(
                 f"{self.kind} needs {PARAM_ARITY[self.kind]} angles, got {len(self.params)}"
             )
+        if not self.controls:
+            return
         ctrl_qubits = [q for q, _ in self.controls]
         if len(set(ctrl_qubits)) != len(ctrl_qubits):
             raise ValueError(f"repeated control qubit in {self.controls}")
@@ -81,7 +88,7 @@ class Gate:
 
     @property
     def wires(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
+        return _wires(self.targets, self.controls)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -262,49 +269,81 @@ def gateset_by_name(name: str) -> GateSet:
 
 
 # --- decomposition to the CX-native set --------------------------------------
+#
+# Expansion and simplification work on private records, plain
+# (kind, targets, controls, params) tuples that skip Gate's validation;
+# compile_circuit and decompose_gate build Gate objects from them once, at the
+# end.
 
 
-def _gray_transition_bits(k: int) -> list[int]:
+def _cnot(control: int, target: int) -> tuple:
+    return (CNOT, (control, target), (), ())
+
+
+def _rz(q: int, angle, controls=()) -> tuple:
+    return (RZ, (q,), controls, (angle,))
+
+
+def _ry(q: int, angle, controls=()) -> tuple:
+    return (RY, (q,), controls, (angle,))
+
+
+def _phasedx(q: int, alpha, beta) -> tuple:
+    return (PHASEDX, (q,), (), (alpha, beta))
+
+
+@functools.cache
+def _gray_transition_bits(k: int) -> tuple[int, ...]:
     """Bit flipped after each rotation in a cyclic reflected-Gray walk."""
     bits = [( (i + 1) & -(i + 1) ).bit_length() - 1 for i in range(2**k - 1)]
     bits.append(k - 1)
-    return bits
+    return tuple(bits)
 
 
-def _multiplexed_rotation(kind: str, target: int, controls, angle: float) -> list[Gate]:
+@functools.cache
+def _gray_signs(k: int) -> np.ndarray:
+    """Sign of each position's rotation (columns) in each control pattern (rows)."""
+    size = 2**k
+    prefix_masks = [0]
+    for bit in _gray_transition_bits(k)[:-1]:
+        prefix_masks.append(prefix_masks[-1] ^ (1 << bit))
+    signs = np.empty((size, size))
+    for b in range(size):
+        for i in range(size):
+            signs[b, i] = -1.0 if (b & prefix_masks[i]).bit_count() % 2 else 1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def _multiplexed_rotation(
+    kind: str, target: int, controls, angle: float, memo: dict
+) -> list[tuple]:
     """Rotation of the target by `angle` exactly when every control matches its
     state, and by zero for every other control pattern.
 
     Gray-code multiplexor: 2^k controlled flips interleaved with 2^k rotations
     whose angles solve a linear system mapping per-position angles to
     per-pattern totals. Control states enter through the target pattern, so
-    0-state controls cost nothing extra.
+    0-state controls cost nothing extra. `memo` holds the solved angles per
+    (k, pattern, angle bits) for one compilation.
     """
     k = len(controls)
-    size = 2**k
     # Control j corresponds to bit k-1-j of both the pattern index and the
     # Gray masks.
     pattern = 0
     for j, (_, state) in enumerate(controls):
         pattern |= state << (k - 1 - j)
-    desired = np.zeros(size)
-    desired[pattern] = angle
-
-    transitions = _gray_transition_bits(k)
-    prefix_masks = [0]
-    for bit in transitions[:-1]:
-        prefix_masks.append(prefix_masks[-1] ^ (1 << bit))
-    signs = np.empty((size, size))
-    for b in range(size):
-        for i in range(size):
-            signs[b, i] = -1.0 if (b & prefix_masks[i]).bit_count() % 2 else 1.0
-    local = np.linalg.solve(signs, desired)
+    key = (k, pattern, angle.hex())
+    local = memo.get(key)
+    if local is None:
+        desired = np.zeros(2**k)
+        desired[pattern] = angle
+        local = memo[key] = [float(v) for v in np.linalg.solve(_gray_signs(k), desired)]
 
     out = []
-    for i in range(size):
-        out.append(Gate(kind, (target,), (), (float(local[i]),)))
-        ctrl_qubit = controls[k - 1 - transitions[i]][0]
-        out.append(cnot_gate(ctrl_qubit, target))
+    for angle_i, bit in zip(local, _gray_transition_bits(k)):
+        out.append((kind, (target,), (), (angle_i,)))
+        out.append(_cnot(controls[k - 1 - bit][0], target))
     return out
 
 
@@ -331,19 +370,7 @@ def _euler_angles(u: np.ndarray, axis: str) -> tuple[float, float, float, float]
     return a, b, c, delta
 
 
-def _emit_1q_unitary(q: int, u: np.ndarray) -> list[Gate]:
-    a, b, c, _ = _euler_angles(u, "y")
-    out = []
-    if abs(c) > _NULL_EPS:
-        out.append(rz_gate(q, c))
-    if abs(b) > _NULL_EPS:
-        out.append(ry_gate(q, b))
-    if abs(a) > _NULL_EPS:
-        out.append(rz_gate(q, a))
-    return out
-
-
-def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[Gate]:
+def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[tuple]:
     """Controlled one-qubit unitary via the two-CNOT conjugation form, with an
     Rz on the control absorbing the determinant phase.
 
@@ -354,45 +381,45 @@ def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[Gate]:
     a, b, c, delta = _euler_angles(u, "y")
     out = []
     if abs(c - a) > 2 * _NULL_EPS:
-        out.append(rz_gate(q, (c - a) / 2))
-    out.append(cnot_gate(control, q))
+        out.append(_rz(q, (c - a) / 2))
+    out.append(_cnot(control, q))
     if abs(a + c) > 2 * _NULL_EPS:
-        out.append(rz_gate(q, -(a + c) / 2))
+        out.append(_rz(q, -(a + c) / 2))
     if abs(b) > _NULL_EPS:
-        out.append(ry_gate(q, -b / 2))
-    out.append(cnot_gate(control, q))
+        out.append(_ry(q, -b / 2))
+    out.append(_cnot(control, q))
     if abs(b) > _NULL_EPS:
-        out.append(ry_gate(q, b / 2))
+        out.append(_ry(q, b / 2))
     if abs(a) > _NULL_EPS:
-        out.append(rz_gate(q, a))
+        out.append(_rz(q, a))
     if abs(delta) > _NULL_EPS:
-        out.append(rz_gate(control, delta))
+        out.append(_rz(control, delta))
     return out
 
 
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _toffoli(c1: int, c2: int, t: int) -> list[Gate]:
+def _toffoli(c1: int, c2: int, t: int) -> list[tuple]:
     """Standard six-CNOT Toffoli with T rotations written as Rz(pi/4)."""
     quarter = math.pi / 4
-    h_t = [rz_gate(t, math.pi), ry_gate(t, math.pi / 2)]
+    h_t = [_rz(t, math.pi), _ry(t, math.pi / 2)]
     out = []
     out += h_t
-    out.append(cnot_gate(c2, t))
-    out.append(rz_gate(t, -quarter))
-    out.append(cnot_gate(c1, t))
-    out.append(rz_gate(t, quarter))
-    out.append(cnot_gate(c2, t))
-    out.append(rz_gate(t, -quarter))
-    out.append(cnot_gate(c1, t))
-    out.append(rz_gate(c2, quarter))
-    out.append(rz_gate(t, quarter))
+    out.append(_cnot(c2, t))
+    out.append(_rz(t, -quarter))
+    out.append(_cnot(c1, t))
+    out.append(_rz(t, quarter))
+    out.append(_cnot(c2, t))
+    out.append(_rz(t, -quarter))
+    out.append(_cnot(c1, t))
+    out.append(_rz(c2, quarter))
+    out.append(_rz(t, quarter))
     out += h_t
-    out.append(cnot_gate(c1, c2))
-    out.append(rz_gate(c1, quarter))
-    out.append(rz_gate(c2, -quarter))
-    out.append(cnot_gate(c1, c2))
+    out.append(_cnot(c1, c2))
+    out.append(_rz(c1, quarter))
+    out.append(_rz(c2, -quarter))
+    out.append(_cnot(c1, c2))
     return out
 
 
@@ -401,14 +428,13 @@ def _principal_sqrt(u: np.ndarray) -> np.ndarray:
     return vectors @ np.diag(np.sqrt(values.astype(complex))) @ np.linalg.inv(vectors)
 
 
-def _mc_unitary(controls: tuple[int, ...], t: int, u: np.ndarray) -> list[Gate]:
-    """Multi-controlled one-qubit unitary, all controls on state 1, no ancilla.
+def _mc_unitary(controls: tuple[int, ...], t: int, u: np.ndarray) -> list[tuple]:
+    """Multi-controlled one-qubit unitary, at least one control, all controls
+    on state 1, no ancilla.
 
     Recursive square-root split: halve the control count by conjugating a
     singly controlled sqrt(u) with a multi-controlled X on the last control.
     """
-    if not controls:
-        return _emit_1q_unitary(t, u)
     if len(controls) == 1:
         return _emit_controlled_1q(controls[0], t, u)
     v = _principal_sqrt(u)
@@ -422,253 +448,282 @@ def _mc_unitary(controls: tuple[int, ...], t: int, u: np.ndarray) -> list[Gate]:
     return out
 
 
-def _mcx_ones(controls: tuple[int, ...], t: int) -> list[Gate]:
+@functools.cache
+def _mcx_template(k: int) -> tuple[tuple, ...]:
+    """X on wire k controlled by wires 0..k-1, k >= 3, as records.
+
+    Its angles come from the square roots of X and depend on k alone, so each
+    control count is solved once per process.
+    """
+    return tuple(_mc_unitary(tuple(range(k)), k, _X_MATRIX))
+
+
+def _mcx_ones(controls: tuple[int, ...], t: int) -> list[tuple]:
     if len(controls) == 0:
-        return [x_gate(t)]
+        return [(X, (t,), (), ())]
     if len(controls) == 1:
-        return [cnot_gate(controls[0], t)]
+        return [_cnot(controls[0], t)]
     if len(controls) == 2:
         return _toffoli(controls[0], controls[1], t)
-    return _mc_unitary(controls, t, _X_MATRIX)
-
-
-def _with_zero_controls_conjugated(controls, body_fn) -> list[Gate]:
-    """Run body_fn on all-ones controls, X-conjugating the 0-state ones."""
-    flips = [x_gate(q) for q, s in controls if s == 0]
-    inner = body_fn(tuple(q for q, _ in controls))
-    return flips + inner + list(reversed(flips))
-
-
-def _mcx(controls: tuple[tuple[int, int], ...], t: int) -> list[Gate]:
-    return _with_zero_controls_conjugated(controls, lambda ones: _mcx_ones(ones, t))
-
-
-def _g2_template(a: int, b: int, theta: float) -> list[Gate]:
-    """Pattern rotation 01/10: conjugate by CNOT, rotate the first wire
-    controlled on the second. Exact, no phase residue."""
+    wires = controls + (t,)
     return [
-        cnot_gate(a, b),
-        ry_gate(a, -theta),
-        cnot_gate(b, a),
-        ry_gate(a, theta),
-        cnot_gate(b, a),
-        cnot_gate(a, b),
+        (kind, tuple(wires[i] for i in targets), (), params)
+        for kind, targets, _, params in _mcx_template(len(controls))
     ]
 
 
-def _g4_template(a: int, b: int, c: int, d: int, theta: float) -> list[Gate]:
+def _mcx(controls: tuple[tuple[int, int], ...], t: int) -> list[tuple]:
+    """Multi-controlled X, X-conjugating the 0-state controls."""
+    flips = [(X, (q,), (), ()) for q, s in controls if s == 0]
+    inner = _mcx_ones(tuple(q for q, _ in controls), t)
+    return flips + inner + flips[::-1]
+
+
+def _g2_template(a: int, b: int, theta: float) -> list[tuple]:
+    """Pattern rotation 01/10: conjugate by CNOT, rotate the first wire
+    controlled on the second. Exact, no phase residue."""
+    return [
+        _cnot(a, b),
+        _ry(a, -theta),
+        _cnot(b, a),
+        _ry(a, theta),
+        _cnot(b, a),
+        _cnot(a, b),
+    ]
+
+
+def _g4_template(a: int, b: int, c: int, d: int, theta: float, memo: dict) -> list[tuple]:
     """Pattern rotation 0011/1100: three CNOTs fold the pair onto wire `a`,
     then a Gray-code multiplexed Ry rotates it under the (b,c,d) = (0,1,1)
     pattern. Exactly 14 two-qubit gates."""
-    fold = [cnot_gate(a, b), cnot_gate(a, c), cnot_gate(a, d)]
-    core = _multiplexed_rotation(RY, a, ((b, 0), (c, 1), (d, 1)), -2 * theta)
-    return fold + core + list(reversed(fold))
+    fold = [_cnot(a, b), _cnot(a, c), _cnot(a, d)]
+    core = _multiplexed_rotation(RY, a, ((b, 0), (c, 1), (d, 1)), -2 * theta, memo)
+    return fold + core + fold[::-1]
 
 
-def _expand_cx(g: Gate) -> list[Gate]:
-    """Rewrite one gate into the CX-native kinds {CNOT, Ry, Rz, X}."""
-    kind, ctrls = g.kind, g.controls
-    params = g.numeric_params()
+_CX_KINDS = frozenset({X, RY, RZ, CNOT})
+
+
+def _expand_cx(rec: tuple, memo: dict) -> list[tuple]:
+    """Rewrite one record into the CX-native kinds {CNOT, Ry, Rz, X}."""
+    kind, targets, ctrls, params = rec
+    params = tuple(map(float, params))
 
     if kind == SWAP and not ctrls:
         # The controlled form below emits the three CNOTs in the other order.
-        a, b = g.targets
-        return [cnot_gate(a, b), cnot_gate(b, a), cnot_gate(a, b)]
+        a, b = targets
+        return [_cnot(a, b), _cnot(b, a), _cnot(a, b)]
     if kind == X:
-        return _flatten_cx(_mcx(ctrls, g.targets[0]))
+        return _mcx(ctrls, targets[0])
     if kind == CNOT:
-        all_ctrls = ctrls + ((g.targets[0], 1),)
-        return _flatten_cx(_mcx(all_ctrls, g.targets[1]))
+        return _mcx(ctrls + ((targets[0], 1),), targets[1])
     if kind in (RY, RZ):
-        if len(ctrls) == 0:
-            return [g]
-        return _flatten_cx(_multiplexed_rotation(kind, g.targets[0], ctrls, params[0]))
+        if not ctrls:
+            return [rec]
+        return _multiplexed_rotation(kind, targets[0], ctrls, params[0], memo)
     if kind == PHASEDX:
         alpha, beta = params
-        q = g.targets[0]
+        q = targets[0]
         seq = [
-            rz_gate(q, math.pi / 2 - beta, ctrls),
-            ry_gate(q, alpha, ctrls),
-            rz_gate(q, beta - math.pi / 2, ctrls),
+            _rz(q, math.pi / 2 - beta, ctrls),
+            _ry(q, alpha, ctrls),
+            _rz(q, beta - math.pi / 2, ctrls),
         ]
-        return _flatten_cx(seq)
+        return _flatten_cx(seq, memo)
     if kind == ZZMAX:
-        a, b = g.targets
-        seq = [cnot_gate(a, b, ctrls), rz_gate(b, math.pi / 2, ctrls), cnot_gate(a, b, ctrls)]
-        return _flatten_cx(seq)
+        a, b = targets
+        cnot = (CNOT, (a, b), ctrls, ())
+        return _flatten_cx([cnot, _rz(b, math.pi / 2, ctrls), cnot], memo)
     if kind == SWAP:
-        a, b = g.targets
-        middle = x_gate(b, ctrls + ((a, 1),))
-        return _flatten_cx([cnot_gate(b, a), middle, cnot_gate(b, a)])
+        a, b = targets
+        middle = (X, (b,), ctrls + ((a, 1),), ())
+        return _flatten_cx([_cnot(b, a), middle, _cnot(b, a)], memo)
     if kind in (G2, G4):
         template = (
-            _g2_template(*g.targets, params[0])
+            _g2_template(*targets, params[0])
             if kind == G2
-            else _g4_template(*g.targets, params[0])
+            else _g4_template(*targets, params[0], memo)
         )
-        wrapped = [control_wrap(h, ctrls) for h in template]
-        return _flatten_cx(wrapped)
+        # Template records carry no controls and stay on the gate's targets,
+        # which the gate's controls never touch.
+        wrapped = [(k, t, ctrls, p) for k, t, _, p in template]
+        return _flatten_cx(wrapped, memo)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _flatten_cx(gates: Iterable[Gate]) -> list[Gate]:
+def _flatten_cx(recs: Iterable[tuple], memo: dict) -> list[tuple]:
     out = []
-    for g in gates:
-        if not g.controls and g.kind in (X, RY, RZ, CNOT):
-            out.append(g)
+    for rec in recs:
+        if not rec[2] and rec[0] in _CX_KINDS:
+            out.append(rec)
         else:
-            out.extend(_expand_cx(g))
+            out.extend(_expand_cx(rec, memo))
     return out
 
 
-def _rewrite_zz(g: Gate) -> list[Gate]:
-    """Map a CX-native gate onto {ZZMax, PhasedX, Rz}."""
-    if g.kind == RZ:
-        return [g]
-    if g.kind == RY:
-        return [phasedx_gate(g.targets[0], g.params[0], math.pi / 2)]
-    if g.kind == X:
-        return [phasedx_gate(g.targets[0], math.pi, 0.0)]
-    if g.kind == CNOT:
-        c, t = g.targets
-        h_t = [rz_gate(t, math.pi), phasedx_gate(t, math.pi / 2, math.pi / 2)]
-        return h_t + [zzmax_gate(c, t), rz_gate(c, -math.pi / 2), rz_gate(t, -math.pi / 2)] + h_t
-    raise ValueError(f"not a CX-native gate: {g.kind}")
+def _rewrite_zz(rec: tuple) -> list[tuple]:
+    """Map a CX-native record onto {ZZMax, PhasedX, Rz}."""
+    kind, targets, _, params = rec
+    if kind == RZ:
+        return [rec]
+    if kind == RY:
+        return [_phasedx(targets[0], params[0], math.pi / 2)]
+    if kind == X:
+        return [_phasedx(targets[0], math.pi, 0.0)]
+    if kind == CNOT:
+        c, t = targets
+        h_t = [_rz(t, math.pi), _phasedx(t, math.pi / 2, math.pi / 2)]
+        return h_t + [(ZZMAX, (c, t), (), ()), _rz(c, -math.pi / 2), _rz(t, -math.pi / 2)] + h_t
+    raise ValueError(f"not a CX-native gate: {kind}")
+
+
+def _decompose(rec: tuple, gateset: GateSet, memo: dict) -> list[tuple]:
+    if rec[0] in gateset.kinds and not rec[2]:
+        return [rec]
+    cx_recs = _expand_cx(rec, memo)
+    if gateset.name == "cx":
+        return cx_recs
+    out = []
+    for r in cx_recs:
+        out.extend(_rewrite_zz(r))
+    return out
 
 
 def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
     """Expand one gate into the target set, eliminating all extra controls."""
     if g.kind in gateset.kinds and not g.controls:
         return [g]
-    cx_gates = _expand_cx(g)
-    if gateset.name == "cx":
-        return cx_gates
-    out = []
-    for h in cx_gates:
-        out.extend(_rewrite_zz(h))
-    return out
+    g.numeric_params()  # free symbols raise UnboundParameterError
+    return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset, {})]
 
 
 # --- peephole simplification and compilation ---------------------------------
 
 
-def _null_rotation(g: Gate) -> bool:
-    if g.kind in (RY, RZ, PHASEDX):
-        period = 2 * math.pi if not g.controls else 4 * math.pi
-        angle = g.params[0]
-    elif g.kind in (G2, G4):
-        period = 2 * math.pi
-        angle = g.params[0]
-    else:
+_ROTATIONS = frozenset({RY, RZ, PHASEDX, G2, G4})
+
+
+def _null_rotation(rec: tuple) -> bool:
+    kind, _, controls, params = rec
+    if kind not in _ROTATIONS:
         return False
-    return abs(math.remainder(float(angle), period)) < _NULL_EPS
+    period = 4 * math.pi if controls and kind not in (G2, G4) else 2 * math.pi
+    return abs(math.remainder(float(params[0]), period)) < _NULL_EPS
 
 
-def _mergeable(a: Gate, b: Gate) -> Gate | None:
-    if a.kind != b.kind or a.targets != b.targets or a.controls != b.controls:
+def _merged(prev: tuple, rec: tuple) -> tuple | None:
+    kind, targets, controls, params = rec
+    if prev[0] != kind or prev[1] != targets or prev[2] != controls:
         return None
-    if a.kind in (RY, RZ, G2, G4):
-        return dataclasses.replace(a, params=(float(a.params[0]) + float(b.params[0]),))
-    if a.kind == PHASEDX and a.params[1] == b.params[1]:
-        return dataclasses.replace(a, params=(float(a.params[0]) + float(b.params[0]), a.params[1]))
+    if kind in (RY, RZ, G2, G4):
+        return (kind, targets, controls, (float(prev[3][0]) + float(params[0]),))
+    if kind == PHASEDX and prev[3][1] == params[1]:
+        return (kind, targets, controls, (float(prev[3][0]) + float(params[0]), prev[3][1]))
     return None
 
 
-def _peephole_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
-    out: list[Gate | None] = []
+def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool]:
+    out: list[tuple | None] = []
+    out_wires: list[tuple[int, ...]] = []
     last_on_wire: dict[int, int] = {}
     changed = False
-    for g in gates:
-        if _null_rotation(g):
+    for rec in recs:
+        if _null_rotation(rec):
             changed = True
             continue
-        wires = set(g.wires)
-        prev_idx = max((last_on_wire.get(q, -1) for q in wires), default=-1)
+        kind, targets, controls, _ = rec
+        wires = _wires(targets, controls)
+        if len(wires) == 1:
+            prev_idx = last_on_wire.get(wires[0], -1)
+        else:
+            prev_idx = max(last_on_wire.get(q, -1) for q in wires)
         prev = out[prev_idx] if prev_idx >= 0 else None
-        if prev is not None and set(prev.wires) == wires:
-            if (
-                g.kind in _SELF_INVERSE
-                and prev.kind == g.kind
-                and prev.targets == g.targets
-                and prev.controls == g.controls
-            ):
-                out[prev_idx] = None
-                changed = True
-                continue
-            merged = _mergeable(prev, g)
-            if merged is not None:
-                out[prev_idx] = None if _null_rotation(merged) else merged
-                changed = True
-                continue
-        out.append(g)
-        idx = len(out) - 1
+        if prev is not None:
+            prev_wires = out_wires[prev_idx]
+            if prev_wires == wires or set(prev_wires) == set(wires):
+                if kind in _SELF_INVERSE and prev[:3] == rec[:3]:
+                    out[prev_idx] = None
+                    changed = True
+                    continue
+                merged = _merged(prev, rec)
+                if merged is not None:
+                    out[prev_idx] = None if _null_rotation(merged) else merged
+                    changed = True
+                    continue
+        idx = len(out)
+        out.append(rec)
+        out_wires.append(wires)
         for q in wires:
             last_on_wire[q] = idx
-    return [g for g in out if g is not None], changed
+    return [rec for rec in out if rec is not None], changed
 
 
-def _is_1q(g: Gate) -> bool:
-    return len(g.targets) == 1 and not g.controls
-
-
-def _consolidate_1q_runs(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> tuple[list[tuple], bool]:
     """Replace runs of adjacent one-qubit gates on a wire by at most
-    PhasedX + Rz whenever that shortens the circuit."""
+    PhasedX + Rz whenever that shortens the circuit.
+
+    `memo` maps a run's kinds and exact angle bits (-0.0 is not 0.0 here) to
+    its replacement, for one compilation.
+    """
     runs: dict[int, list[int]] = {}
     finished: list[list[int]] = []
-
-    def flush(q: int) -> None:
-        run = runs.pop(q, None)
-        if run:
-            finished.append(run)
-
-    for idx, g in enumerate(gates):
-        if _is_1q(g):
-            runs.setdefault(g.targets[0], []).append(idx)
+    for idx, (_, targets, controls, _) in enumerate(recs):
+        if len(targets) == 1 and not controls:
+            run = runs.get(targets[0])
+            if run is None:
+                runs[targets[0]] = [idx]
+            else:
+                run.append(idx)
         else:
-            for q in g.wires:
-                flush(q)
-    for q in list(runs):
-        flush(q)
+            for q in _wires(targets, controls):
+                if q in runs:
+                    finished.append(runs.pop(q))
+    finished.extend(runs.values())
 
-    replacements: dict[int, list[Gate]] = {}
+    replacements: dict[int, list[tuple]] = {}
     removed: set[int] = set()
-    changed = False
     for run in finished:
         if len(run) < 2:
             continue
-        q = gates[run[0]].targets[0]
-        acc = np.eye(2, dtype=complex)
+        kinds, angles = [], []
         for idx in run:
-            g = gates[idx]
-            acc = gate_matrix(g.kind, g.numeric_params()) @ acc
-        new_gates = _emit_zz_1q(q, acc)
-        if len(new_gates) < len(run):
-            replacements[run[0]] = new_gates
+            kinds.append(recs[idx][0])
+            angles.extend(recs[idx][3])
+        key = (tuple(kinds), struct.pack(f"{len(angles)}d", *angles))
+        body = memo.get(key)
+        if body is None:
+            acc = np.eye(2, dtype=complex)
+            for idx in run:
+                kind, _, _, params = recs[idx]
+                acc = gate_matrix(kind, tuple(map(float, params))) @ acc
+            body = memo[key] = _emit_zz_1q(acc)
+        if len(body) < len(run):
+            q = recs[run[0]][1][0]
+            replacements[run[0]] = [(kind, (q,), (), params) for kind, params in body]
             removed.update(run)
-            changed = True
 
-    if not changed:
-        return gates, False
+    if not replacements:
+        return recs, False
     out = []
-    for idx, g in enumerate(gates):
-        if idx in replacements:
+    for idx, rec in enumerate(recs):
+        if idx not in removed:
+            out.append(rec)
+        elif idx in replacements:
             out.extend(replacements[idx])
-        elif idx not in removed:
-            out.append(g)
     return out, True
 
 
-def _emit_zz_1q(q: int, u: np.ndarray) -> list[Gate]:
-    """u (up to phase) as [PhasedX(alpha, beta), Rz(gamma)], dropping trivial
-    factors. Uses u = Rz(a) Rx(b) Rz(c) with beta = -c, alpha = b, gamma = a + c."""
+def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
+    """u (up to phase) as (kind, params) of [PhasedX(alpha, beta), Rz(gamma)],
+    dropping trivial factors. Uses u = Rz(a) Rx(b) Rz(c) with beta = -c,
+    alpha = b, gamma = a + c."""
     a, b, c, _ = _euler_angles(u, "x")
     out = []
     if abs(math.remainder(b, 2 * math.pi)) > _NULL_EPS:
-        out.append(phasedx_gate(q, b, -c))
+        out.append((PHASEDX, (b, -c)))
     gamma = a + c
     if abs(math.remainder(gamma, 2 * math.pi)) > _NULL_EPS:
-        out.append(rz_gate(q, gamma))
+        out.append((RZ, (gamma,)))
     return out
 
 
@@ -682,22 +737,25 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     """
     if c.parameters:
         raise UnboundParameterError(f"compile needs bound angles; free: {c.parameters}")
-    gates: list[Gate] = []
+    rotations: dict = {}
+    recs: list[tuple] = []
     for g in c.gates:
-        gates.extend(decompose_gate(g, gateset))
+        recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset, rotations))
+    runs: dict = {}
     for _ in range(10_000):
-        gates, changed = _peephole_pass(gates)
+        recs, changed = _peephole_pass(recs)
         if gateset.name == "zz":
-            gates, consolidated = _consolidate_1q_runs(gates)
+            recs, consolidated = _consolidate_1q_runs(recs, runs)
             changed = changed or consolidated
         if not changed:
             break
     else:
         raise RuntimeError("simplification did not reach a fixed point")
+    gates = tuple(Gate(*rec) for rec in recs)
     for g in gates:
         if g.kind not in gateset.kinds or g.controls:
             raise RuntimeError(f"gate {g} escaped compilation to {gateset.name}")
-    return Circuit(c.n_qubits, tuple(gates))
+    return Circuit(c.n_qubits, gates)
 
 
 # --- resource accounting ------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcprep.algorithms import synthesize
 from mcprep.circuits import (
     CNOT,
     G2,
@@ -35,6 +36,7 @@ from mcprep.circuits import (
     x_gate,
     zzmax_gate,
 )
+from mcprep.configs import generate_cisd_configs, validate_spec
 from mcprep.simulator import StateVector, circuit_unitary, run_circuit
 
 # --- dense embedding oracle ---------------------------------------------------
@@ -277,18 +279,65 @@ def test_controlled_templates_match_analytic_unitaries(gateset_name):
         assert max_phase_deviation(circuit_unitary(body), embed_gate(g, n)) < 1e-10, g.kind
 
 
-@pytest.mark.parametrize("gateset_name", ["cx", "zz"])
-def test_compile_preserves_unitary_on_random_circuits(gateset_name):
+def seeded_random_circuits():
     rng = np.random.default_rng(26)
-    gs = gateset_by_name(gateset_name)
     for _ in range(12):
         n = int(rng.integers(2, 5))
-        c = random_circuit(rng, n, int(rng.integers(1, 10)))
+        yield random_circuit(rng, n, int(rng.integers(1, 10)))
+
+
+@pytest.mark.parametrize("gateset_name", ["cx", "zz"])
+def test_compile_preserves_unitary_on_random_circuits(gateset_name):
+    gs = gateset_by_name(gateset_name)
+    for c in seeded_random_circuits():
         compiled = compile_circuit(c, gs)
         for g in compiled.gates:
             assert g.kind in gs.kinds
             assert not g.controls
         assert max_phase_deviation(circuit_unitary(compiled), oracle_unitary(c)) < 1e-9
+
+
+@pytest.mark.parametrize("gateset_name", ["cx", "zz"])
+def test_compile_is_a_fixed_point(gateset_name):
+    # Simplification runs to a fixed point, so compiling its output again
+    # must return the same gates, angle bits included.
+    gs = gateset_by_name(gateset_name)
+    configs = generate_cisd_configs(3, 2)
+    amplitudes = np.random.default_rng(32).standard_normal(len(configs))
+    spec = validate_spec(list(zip(amplitudes / np.linalg.norm(amplitudes), configs)))
+    circuits = [*seeded_random_circuits(), synthesize(spec, "gr"), synthesize(spec, "ssp")]
+    for c in circuits:
+        once = compile_circuit(c, gs)
+        twice = compile_circuit(once, gs)
+        assert repr(twice.gates) == repr(once.gates)
+        assert twice == once
+
+
+# (n_gates, two_qubit_total, depth) of each 8-qubit acceptance state, per
+# method and gate set. The acceptance windows are two-sided ranges around the
+# paper's counts and would not notice a drift of one gate.
+BENCH_8Q_COUNTS = [
+    {("gr", "zz"): (544, 128, 348), ("gr", "cx"): (297, 128, 223),
+     ("ssp", "zz"): (67, 15, 31), ("ssp", "cx"): (25, 15, 17)},
+] * 4 + [
+    {("gr", "zz"): (184, 42, 110), ("gr", "cx"): (70, 42, 65),
+     ("ssp", "zz"): (53, 11, 30), ("ssp", "cx"): (20, 11, 16)},
+    {("gr", "zz"): (142, 32, 83), ("gr", "cx"): (54, 32, 49),
+     ("ssp", "zz"): (53, 11, 28), ("ssp", "cx"): (19, 11, 15)},
+]
+
+
+def test_acceptance_states_compile_to_exact_counts():
+    # Imported here: tests.test_acceptance imports this module.
+    from tests.test_acceptance import BENCH_8Q
+
+    for (coeffs, configs, _, _), expected in zip(BENCH_8Q, BENCH_8Q_COUNTS, strict=True):
+        spec = validate_spec(list(zip(coeffs, configs)))
+        for (method, gateset_name), counts in expected.items():
+            compiled = compile_circuit(synthesize(spec, method), gateset_by_name(gateset_name))
+            r = count_resources(compiled)
+            got = (r.n_gates, r.two_qubit_total, r.depth)
+            assert got == counts, (configs, method, gateset_name)
 
 
 def test_compile_rejects_unbound_parameters():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcprep import cli, fileio
+from mcprep.algorithms import MAX_QCELS_SAMPLES
 from mcprep.circuits import CNOT, G2, PHASEDX, RY, Circuit, Gate
 from mcprep.configs import SpecValidationError, cisd_excitations, hartree_fock_config
 from mcprep.simulator import StateVector, exact_spectrum, expectation
@@ -391,6 +392,19 @@ def test_cli_qcels_reports_unconverged_spectral_range(tmp_path, capsys, monkeypa
     assert err.startswith("error: spectral range of the 11-qubit operator did not converge")
 
 
+def test_cli_qcels_caps_samples(tmp_path, capsys):
+    # The dense path holds a samples x 2^n array, so an unbounded count
+    # exhausts memory; the cap must end in the error contract.
+    spec_path = write(tmp_path, "state.txt", "1 1100\n")
+    ham_path = write(tmp_path, "h.txt", DIAG_HAM_TEXT)
+    argv = ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--tau", "1.0"]
+    for samples in (MAX_QCELS_SAMPLES + 1, 100_000_000):
+        code, report, err = run_cli(capsys, [*argv, "--samples", str(samples)])
+        assert code == 1
+        assert report is None
+        assert err.startswith(f"error: samples must run from 2 to {MAX_QCELS_SAMPLES}")
+
+
 def test_cli_qcels_requires_tau(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["qcels", "--spec", "s", "--hamiltonian", "h"])
@@ -552,3 +566,93 @@ def test_cli_reports_missing_file_as_user_error(tmp_path, capsys):
     assert code == 1
     assert report is None
     assert err.startswith("error:")
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise AssertionError(f"report carries {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fuzzed_inputs_parse_or_end_in_the_error_contract(tmp_path, capsys):
+    # Token-level mutations of small valid inputs, through the parsers and
+    # through cli.main with option values argparse accepts: every case either
+    # prints a strict-JSON report or exits 1 with an error line and no
+    # report. A traceback escapes and fails the test.
+    rng = random.Random(31)
+    coeffs = ["0.6", "-0.8", "1", "0", "-0", "1e-300", "1e300", "1e400", "nan", "inf",
+              "\u22120.5", "0x1", "1_0", "abc", ".", "--1"]
+    bits = ["1100", "0110", "1001", "0011", "110", "11000", "1111", "0000", "2100", "11o0", ""]
+    words = ["ZIII", "IZIZ", "XXYY", "YIYI", "IIII", "ZZ", "ZIIII", "Q", "zzii", ""]
+    spec_lines = ["0.5 1100", "0.5 0110", "-0.5 1001", "0.5 0011"]
+    ham_lines = HAM_TEXT.splitlines()
+
+    def mutate(lines, tokens_by_field):
+        lines = list(lines)
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            i = rng.randrange(len(lines))
+            op = rng.random()
+            if op < 0.6:
+                fields = lines[i].split() or [""]
+                j = rng.randrange(len(fields))
+                fields[j] = rng.choice(tokens_by_field[min(j, 1)])
+                lines[i] = " ".join(fields)
+            elif op < 0.75:
+                del lines[i]
+                if not lines:
+                    break
+            elif op < 0.9:
+                lines.insert(i, lines[i])
+            else:
+                lines.insert(i, rng.choice(["ordered", "# note", "", "0.1 1100 extra", "0.1"]))
+        return "\n".join(lines) + "\n"
+
+    # Repeated values weight the valid ones, so runs that succeed are common.
+    options = {
+        "tau": ["0.3", "0.3", "1", "-1", "0", "nan", "inf", "-inf", "1e-300", "100"],
+        "samples": ["-3", "1", "2", "8", "8", "4097", "100000000"],
+        "count": ["-1", "0", "3", "100"],
+        "tolerance": ["nan", "-1", "0", "0.5", "1e-9", "inf"],
+        "restarts": ["-1", "0", "1", "1"],
+        "maxiter": ["-1", "0", "1", "3", "3"],
+        "orbitals": ["-1", "0", "1", "2", "2", "2"],
+        "electrons": ["-2", "0", "1", "2", "2", "5"],
+    }
+    good_spec = write(tmp_path, "good.txt", SPEC_TEXT)
+    circuit = str(tmp_path / "good.json")
+    assert cli.main(["synth", "--spec", good_spec, "--out", circuit]) == 0
+    capsys.readouterr()
+
+    for _ in range(120):
+        spec_text = mutate(spec_lines, (coeffs, bits))
+        ham_text = mutate(ham_lines, (coeffs, words))
+        for parse, text in ((fileio.parse_state_spec, spec_text),
+                            (fileio.parse_hamiltonian, ham_text)):
+            try:
+                parse(text)
+            except (ValueError, ArithmeticError):
+                pass
+        spec = write(tmp_path, "spec.txt", spec_text)
+        ham = write(tmp_path, "h.txt", ham_text)
+        pick = {name: f"--{name}={rng.choice(values)}" for name, values in options.items()}
+        argv = rng.choice([
+            ["synth", "--spec", spec, "--method", rng.choice(["gr", "ssp"])],
+            ["verify", "--spec", spec, "--circuit", circuit, pick["tolerance"]],
+            ["resources", "--spec", spec, "--gateset", rng.choice(["zz", "cx"])],
+            ["moments", "--spec", spec, "--hamiltonian", ham],
+            ["qcels", "--spec", spec, "--hamiltonian", ham, pick["tau"], pick["samples"]],
+            ["spectrum", "--hamiltonian", ham, pick["count"]],
+            ["vqe", "--spec", spec, "--hamiltonian", ham, pick["restarts"], pick["maxiter"]],
+            ["sceom", "--hamiltonian", ham, pick["orbitals"], pick["electrons"]],
+        ])
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if out:
+            report = _strict_json(out)
+            assert report["command"] == argv[0], argv
+            # A report with exit 1 is a verification verdict.
+            assert code == 0 or (code == 1 and report["verified"] is False), argv
+        else:
+            assert code == 1, argv
+            assert err.startswith("error:"), (argv, err)
