@@ -256,6 +256,15 @@ def _qcels_slope(series: QcelsSeries, energy: float) -> float:
     return 2.0 * float(np.real(np.conj(g) * g_prime))
 
 
+def _qcels_grid_scores(series: QcelsSeries) -> np.ndarray:
+    """The objective at every energy -pi/tau + 2 pi k / (M tau), k < M = 10N,
+    of the search grid. There exp(i n tau E_k) = (-1)^n exp(2 pi i n k / M),
+    so the M sums are one inverse FFT of length M."""
+    m = 10 * series.values.size
+    alternating = series.values * (-1.0) ** np.arange(series.values.size)
+    return np.abs(m * np.fft.ifft(alternating, m)) ** 2
+
+
 def qcels_estimate(series: QcelsSeries) -> float:
     """Dominant eigenvalue estimate from the peak of the spectral objective.
 
@@ -265,9 +274,8 @@ def qcels_estimate(series: QcelsSeries) -> float:
     double precision, which would cap a direct maximization near 1e-9.
     """
     tau = series.tau
-    n_grid = 10 * series.values.size
-    grid = np.linspace(-math.pi / tau, math.pi / tau, n_grid, endpoint=False)
-    scores = [_qcels_objective(series, e) for e in grid]
+    scores = _qcels_grid_scores(series)
+    grid = np.linspace(-math.pi / tau, math.pi / tau, scores.size, endpoint=False)
     peak = int(np.argmax(scores))
     step = grid[1] - grid[0]
     a, b = grid[peak] - step, grid[peak] + step

@@ -209,13 +209,34 @@ def _rz_matrix(angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]])
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+_ZZ_PHASE = np.exp(-1j * np.pi / 4)
+# Matrices of the parameterless kinds, built once and shared read-only.
+_FIXED_MATRICES = {
+    X: _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    CNOT: _read_only(np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    )),
+    ZZMAX: _read_only(np.diag([_ZZ_PHASE, _ZZ_PHASE.conjugate(), _ZZ_PHASE.conjugate(), _ZZ_PHASE])),
+    SWAP: _read_only(np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+    )),
+}
+
+
 def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     """Matrix over the gate's targets only (controls handled by the caller).
 
-    Basis ordering: first target = most significant bit.
+    Basis ordering: first target = most significant bit. The matrices of the
+    parameterless kinds are shared and read-only.
     """
-    if kind == X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+    fixed = _FIXED_MATRICES.get(kind)
+    if fixed is not None:
+        return fixed
     if kind == RY:
         return _ry_matrix(params[0])
     if kind == RZ:
@@ -223,17 +244,6 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     if kind == PHASEDX:
         alpha, beta = params
         return _rz_matrix(beta) @ _rx_matrix(alpha) @ _rz_matrix(-beta)
-    if kind == CNOT:
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if kind == ZZMAX:
-        p = np.exp(-1j * np.pi / 4)
-        return np.diag([p, p.conjugate(), p.conjugate(), p])
-    if kind == SWAP:
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
     if kind == G2:
         c, s = math.cos(params[0]), math.sin(params[0])
         m = np.eye(4, dtype=complex)

@@ -94,6 +94,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.tolerance < 1:
+        raise ValueError(f"--tolerance must be finite, at least 0 and below 1, got {args.tolerance}")
     spec = fileio.parse_state_spec(_read(args.spec))
     circuit = fileio.circuit_from_json(_read(args.circuit))
     if circuit.parameters:

@@ -7,15 +7,21 @@ applied natively, including pattern rotations and gates with arbitrary
 to a hardware set first.
 
 A gate acts on tensor axes: the amplitudes are viewed as a (2,) * n tensor
-(axis q is qubit q), each control fixes its axis to its state, and the
-gate's matrix is contracted with the target axes of that view in place.
-The energy gradient of a symbolic circuit reuses that contraction in one
-backward pass (adjoint differentiation). Subspace matrices are blocks of the
-operator sum's own kernel.
+(axis q is qubit q) and each control fixes its axis to its state. One kernel
+serves every register size. A per-process cache holds, for each (register
+size, targets, controls, batch shape), the control-fixing index and the axis
+permutation that puts the targets first, in gate order. To apply a gate the
+kernel transposes the control-fixed view by that permutation, copies it once
+into a (2**m, -1) block, multiplies the gate's matrix into the block and
+writes the product back through the same view. The energy gradient of a
+symbolic circuit reuses that kernel in one backward pass (adjoint
+differentiation) and reads its generator rows from the same block. Subspace
+matrices are blocks of the operator sum's own kernel.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -69,21 +75,35 @@ class StateVector:
         return StateVector(self.amps.copy(), self.n_qubits)
 
 
-def _control_view(amps: np.ndarray, n: int, controls) -> np.ndarray:
-    """The (2,) * n tensor view of a C-contiguous (dim,) or (dim, batch) array
-    with each control axis fixed to its state."""
-    index = [slice(None)] * n
-    for q, state in controls:
-        index[q] = slice(state, state + 1)
-    return amps.reshape((2,) * n + amps.shape[1:])[tuple(index)]
+@functools.cache
+def _layout(n: int, targets, controls, batch) -> tuple:
+    """How a gate reaches a C-contiguous (dim,) + batch array: the (2,) * n +
+    batch tensor shape, the index fixing each control axis to its state, and
+    the axis permutation of that indexed view which puts the targets first, in
+    gate order, and keeps the other axes in order."""
+    fixed = dict(controls)
+    index = tuple(fixed.get(q, slice(None)) for q in range(n))
+    free = [q for q in range(n) if q not in fixed]
+    axis = {q: k for k, q in enumerate(free)}
+    perm = [axis[q] for q in targets]
+    perm += [axis[q] for q in free if q not in targets]
+    perm += range(len(free), len(free) + len(batch))
+    return (2,) * n + batch, index, tuple(perm)
+
+
+def _target_block(amps: np.ndarray, n: int, targets, controls) -> tuple[np.ndarray, np.ndarray]:
+    """The control-fixed view of the amplitudes with the target axes first,
+    and its (2**m, -1) reshape, a copy unless the view is contiguous, whose
+    row r is target pattern r (first target as most significant bit)."""
+    shape, index, perm = _layout(n, targets, controls, amps.shape[1:])
+    view = amps.reshape(shape)[index].transpose(perm)
+    return view, view.reshape(1 << len(targets), -1)
 
 
 def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets, controls) -> np.ndarray:
     """Apply a matrix over the target axes, under controls, in place."""
-    m = len(targets)
-    view = _control_view(amps, n, controls)
-    out = np.tensordot(u.reshape((2,) * (2 * m)), view, axes=(range(m, 2 * m), targets))
-    view[...] = np.moveaxis(out, range(m), targets)
+    view, block = _target_block(amps, n, targets, controls)
+    view[...] = (u @ block).reshape(view.shape)
     return amps
 
 
@@ -114,14 +134,6 @@ def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
 # elsewhere; the entries are (a, b, w) with the first target as the most
 # significant bit of a pattern.
 _GENERATORS = {RY: (0b0, 0b1, -0.5), G2: (0b01, 0b10, 1.0), G4: (0b0011, 0b1100, 1.0)}
-
-
-def _pattern_index(n: int, targets, pattern: int) -> tuple:
-    """Index fixing the target axes of a (2,) * n view to a bit pattern."""
-    index = [slice(None)] * n
-    for k, q in enumerate(reversed(targets)):
-        index[q] = (pattern >> k) & 1
-    return tuple(index)
 
 
 def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
@@ -156,14 +168,13 @@ def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float,
     pair = np.stack([psi, lam], axis=1)
     grad = np.zeros(len(names))
     for g, u, symbols in reversed(steps):
+        view, block = _target_block(pair, n, g.targets, g.controls)
         if symbols:
             a, b, w = _GENERATORS[g.kind]
-            view = _control_view(pair, n, g.controls)
-            at_a = view[_pattern_index(n, g.targets, a)]
-            at_b = view[_pattern_index(n, g.targets, b)]
-            term = np.vdot(at_a[..., 1], at_b[..., 0]) - np.vdot(at_b[..., 1], at_a[..., 0])
+            at_a, at_b = block[a].reshape(-1, 2), block[b].reshape(-1, 2)
+            term = np.vdot(at_a[:, 1], at_b[:, 0]) - np.vdot(at_b[:, 1], at_a[:, 0])
             grad[position[symbols[0]]] += 2 * w * term.real
-        _apply_matrix(pair, n, u.conj().T, g.targets, g.controls)
+        view[...] = (u.conj().T @ block).reshape(view.shape)
     return energy, grad
 
 

@@ -8,9 +8,12 @@ import pytest
 
 from mcprep.algorithms import (
     CumulantSet,
+    QcelsSeries,
     DegenerateCumulants,
     TauTooLarge,
     ZeroThirdCumulant,
+    _qcels_grid_scores,
+    _qcels_objective,
     cmx2,
     cumulants,
     qcels_estimate,
@@ -227,6 +230,25 @@ def test_qcels_recovers_eigenvalue_from_eigenstate():
         tau = 0.9 * 2 * math.pi / spread
         series = qcels_series(state, h, tau, 24)
         assert abs(qcels_estimate(series) - spectrum.values[k]) < 1e-10
+
+
+def test_qcels_grid_scores_match_objective():
+    # The FFT scores the grid -pi/tau + 2 pi k / (10 N tau); each score must be
+    # the objective evaluated directly at that energy.
+    rng = np.random.default_rng(79)
+    for _ in range(20):
+        n_samples = int(rng.integers(2, 200))
+        tau = float(rng.uniform(0.05, 2.0))
+        energies = rng.uniform(-3, 3, 5)
+        weights = rng.dirichlet(np.ones(5))
+        values = (weights[None, :] * np.exp(-1j * np.outer(np.arange(n_samples) * tau, energies))).sum(axis=1)
+        series = QcelsSeries(tau, values, 0.0)
+        grid = np.linspace(-math.pi / tau, math.pi / tau, 10 * n_samples, endpoint=False)
+        direct = np.array([_qcels_objective(series, e) for e in grid])
+        scores = _qcels_grid_scores(series)
+        assert scores.shape == direct.shape
+        assert np.max(np.abs(scores - direct)) <= 1e-12 * np.max(direct)
+        assert np.argmax(scores) == np.argmax(direct)
 
 
 def test_qcels_sparse_series_matches_eigendecomposition():

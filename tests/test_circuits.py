@@ -46,7 +46,7 @@ def embed_gate(g: Gate, n: int) -> np.ndarray:
     """Dense n-qubit unitary for one gate, built by explicit index arithmetic.
 
     Qubit 0 is the most significant bit. Independent of the simulator's
-    tensordot path, so the two can check each other.
+    gate kernel, so the two can check each other.
     """
     base = gate_matrix(g.kind, g.numeric_params())
     dim = 1 << n
@@ -121,6 +121,23 @@ def random_circuit(rng, n: int, length: int) -> Circuit:
 
 
 # --- gate matrices ------------------------------------------------------------
+
+
+def test_parameterless_matrices_are_shared_read_only_literals():
+    p = np.exp(-1j * np.pi / 4)
+    literals = {
+        X: [[0, 1], [1, 0]],
+        CNOT: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        ZZMAX: np.diag([p, p.conjugate(), p.conjugate(), p]),
+        SWAP: [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    }
+    for kind, literal in literals.items():
+        m = gate_matrix(kind, ())
+        assert m.dtype == complex
+        assert np.array_equal(m, np.array(literal, dtype=complex))
+        assert not m.flags.writeable and gate_matrix(kind, ()) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
 
 def test_g2_matrix_rotates_single_excitation_plane():

@@ -403,6 +403,9 @@ def test_cli_qcels_caps_samples(tmp_path, capsys):
         assert code == 1
         assert report is None
         assert err.startswith(f"error: samples must run from 2 to {MAX_QCELS_SAMPLES}")
+    code, report, _ = run_cli(capsys, [*argv, "--samples", str(MAX_QCELS_SAMPLES)])
+    assert code == 0
+    assert report["estimate"] == pytest.approx(-0.75, abs=1e-9)
 
 
 def test_cli_qcels_requires_tau(tmp_path, capsys):
@@ -540,11 +543,14 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("qcels", "--tau", "nan"), ("spectrum", "--count", "-1"), ("verify", "--tolerance", "nan")],
+    [("qcels", "--tau", "nan"), ("spectrum", "--count", "-1"), ("verify", "--tolerance", "nan"),
+     ("verify", "--tolerance", "-1"), ("verify", "--tolerance", "1"),
+     ("verify", "--tolerance", "1.5"), ("verify", "--tolerance", "inf")],
 )
 def test_cli_rejects_values_without_a_valid_report(tmp_path, capsys, command, flag, value):
-    # A NaN would make the report invalid JSON and a negative count would
-    # silently drop eigenvalues; both must end in the error contract.
+    # A NaN would make the report invalid JSON, a negative count would
+    # silently drop eigenvalues, and a tolerance outside [0, 1) would fail or
+    # pass every circuit; all must end in the error contract.
     spec_path = write(tmp_path, "state.txt", SPEC_TEXT)
     ham_path = write(tmp_path, "h.txt", HAM_TEXT)
     circuit_path = str(tmp_path / "c.json")
@@ -559,6 +565,8 @@ def test_cli_rejects_values_without_a_valid_report(tmp_path, capsys, command, fl
     assert code == 1
     assert report is None
     assert err.startswith("error:")
+    if command == "verify":
+        assert "--tolerance" in err
 
 
 def test_cli_reports_missing_file_as_user_error(tmp_path, capsys):

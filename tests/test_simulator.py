@@ -6,13 +6,21 @@ import pytest
 import scipy.linalg
 
 from mcprep.circuits import (
+    CNOT,
     G2,
     G4,
+    PARAM_ARITY,
+    PHASEDX,
     RY,
+    RZ,
     SWAP,
+    TARGET_ARITY,
+    X,
+    ZZMAX,
     Circuit,
     bind_parameters,
     cnot_gate,
+    gate_matrix,
     g2_gate,
     ry_gate,
     x_gate,
@@ -23,6 +31,7 @@ from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
     StateVector,
+    _apply_matrix,
     circuit_unitary,
     energy_gradient,
     evolve,
@@ -103,6 +112,48 @@ def test_run_circuit_matches_unitary_action():
         out = run_circuit(c, initial)
         assert np.allclose(out.amps, circuit_unitary(c) @ initial.amps, atol=1e-12)
         assert out.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def tensordot_apply(amps, n, u, targets, controls):
+    """Oracle: contract the matrix with the control-fixed target axes by
+    np.tensordot and move the result back with np.moveaxis."""
+    m = len(targets)
+    index = [slice(None)] * n
+    for q, state in controls:
+        index[q] = slice(state, state + 1)
+    view = amps.reshape((2,) * n + amps.shape[1:])[tuple(index)]
+    out = np.tensordot(u.reshape((2,) * (2 * m)), view, axes=(range(m, 2 * m), targets))
+    view[...] = np.moveaxis(out, range(m), targets)
+    return amps
+
+
+def test_apply_matrix_equals_tensordot_oracle():
+    rng = np.random.default_rng(42)
+    kinds = (X, RY, RZ, PHASEDX, CNOT, ZZMAX, SWAP, G2, G4)
+
+    def random_gate(n):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        wires = [int(q) for q in rng.permutation(n)]
+        m = TARGET_ARITY[kind]
+        controls = tuple((q, int(rng.integers(2))) for q in wires[m:m + int(rng.integers(3))])
+        u = gate_matrix(kind, tuple(rng.uniform(-math.pi, math.pi, PARAM_ARITY[kind])))
+        return kind, u, tuple(wires[:m]), controls
+
+    cases = [(n, random_gate(n)) for n in (4, 6, 8, 10, 12) for _ in range(60)]
+    cases += [(16, random_gate(16)) for _ in range(4)]
+    # Targets in descending and scrambled order.
+    cases.append((6, (CNOT, gate_matrix(CNOT, ()), (5, 2), ((0, 0),))))
+    cases.append((8, (G4, gate_matrix(G4, (0.7,)), (6, 1, 4, 2), ((7, 1), (0, 0)))))
+    seen = set()
+    for n, (kind, u, targets, controls) in cases:
+        seen.update((kind, len(controls), state) for _, state in controls or ((None, None),))
+        for batch in ((), (2,), (3,)):
+            shape = (1 << n,) + batch
+            amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            expected = tensordot_apply(amps.copy(), n, u, targets, controls)
+            assert np.array_equal(_apply_matrix(amps, n, u, targets, controls), expected)
+    assert {(kind, 0, None) for kind in kinds} <= seen
+    assert {(kind, k, state) for kind in kinds for k in (1, 2) for state in (0, 1)} <= seen
 
 
 def test_control_states_select_basis_sectors():
