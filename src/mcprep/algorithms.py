@@ -41,6 +41,12 @@ SYMMETRY_TOLERANCE = 1e-6
 # The dense QCELS path holds a samples x 2^n complex array: 64 MB at this cap
 # and 10 qubits.
 MAX_QCELS_SAMPLES = 4096
+# qcels_estimate scores a grid of this many energies per sample over one alias
+# period, then halves the two grid steps around the peak at most
+# _QCELS_BISECTIONS times, until the bracket is below _QCELS_BRACKET_TOL.
+_QCELS_GRID_PER_SAMPLE = 10
+_QCELS_BISECTIONS = 80
+_QCELS_BRACKET_TOL = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,6 +118,157 @@ def synthesize(spec: StateSpec, method: str, symbolic: bool = False) -> Circuit:
 
 # --- variational ground-state search -----------------------------------------
 
+# Strong-Wolfe constants of the line search (Nocedal & Wright, eq. 3.7) and
+# the stopping thresholds of the quasi-Newton search. The thresholds sit far
+# below the usual defaults, which park the search well above the minimum on
+# the ansatz's flat valleys.
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+_GRADIENT_TOL = 1e-10
+_DECREASE_TOL = 1e-15
+_LINE_SEARCH_EVALS = 40
+_BRACKET_RTOL = 1e-14
+
+
+@dataclasses.dataclass(frozen=True)
+class _Minimum:
+    x: np.ndarray
+    f: float
+    stop_reason: str
+
+
+def _interpolate(lo, hi) -> float:
+    """Minimizer of the cubic through the values and slopes at both ends of
+    a bracket (Nocedal & Wright, eq. 3.59), kept off the ends; the midpoint
+    when that cubic has no such minimizer."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    mid = 0.5 * (a + b)
+    d1 = da + db - 3 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0:
+        return mid
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denominator = db - da + 2 * d2
+    if denominator == 0:
+        return mid
+    t = b - (b - a) * (db + d2 - d1) / denominator
+    margin = 0.1 * abs(b - a)
+    return t if min(a, b) + margin <= t <= max(a, b) - margin else mid
+
+
+def _wolfe_step(fun, x: np.ndarray, f0: float, d0: float, p: np.ndarray, alpha: float):
+    """A step length along the descent direction ``p`` that meets the strong
+    Wolfe conditions, with the value and gradient there (Nocedal & Wright,
+    Alg. 3.5 with the zoom of Alg. 3.6); None when ``_LINE_SEARCH_EVALS``
+    evaluations find none, or when rounding decides the bracket. ``d0 < 0``
+    is the slope along ``p`` at ``x``; brackets hold (step, value, slope)
+    triples."""
+    prev = (0.0, f0, d0)
+    bracket = None
+    for i in range(_LINE_SEARCH_EVALS):
+        f, g = fun(x + alpha * p)
+        slope = float(g @ p)
+        trial = (alpha, f, slope)
+        sufficient = f <= f0 + _WOLFE_C1 * alpha * d0
+        if sufficient and abs(slope) <= -_WOLFE_C2 * d0:
+            return alpha, f, g
+        if bracket is None:
+            if not sufficient or (i > 0 and f >= prev[1]):
+                bracket = (prev, trial)
+            elif slope >= 0:
+                bracket = (trial, prev)
+            else:
+                prev, alpha = trial, 2 * alpha
+                continue
+        else:
+            lo, hi = bracket
+            if not sufficient or f >= lo[1]:
+                bracket = (lo, trial)
+            elif slope * (hi[0] - lo[0]) >= 0:
+                bracket = (trial, lo)
+            else:
+                bracket = (trial, hi)
+        lo, hi = bracket
+        top = max(lo[0], hi[0])
+        # Rounding decides the tests once no step in the bracket can lower f
+        # by more than the decrease stop, or once its steps differ by rounding.
+        if (-d0 * top <= _DECREASE_TOL * max(abs(f0), 1.0)
+                or abs(hi[0] - lo[0]) <= _BRACKET_RTOL * top):
+            return None
+        alpha = _interpolate(lo, hi)
+    return None
+
+
+def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
+    """Minimize ``fun``, which returns a value and its gradient, from ``x``
+    by dense BFGS (Nocedal & Wright, Alg. 6.1) with a strong-Wolfe line
+    search.
+
+    Stops for one reason: ``gradient`` (max |g| <= _GRADIENT_TOL),
+    ``decrease`` (the last step lowered f by at most _DECREASE_TOL times the
+    largest of 1 and |f| before and after it), ``maxiter`` (that many steps
+    taken) or ``line search`` (no strong-Wolfe step found). The inverse
+    Hessian starts as the identity and goes back to it whenever a step's
+    curvature s.y is not positive. Returns the lowest point evaluated.
+    ``callback(x, f, g)`` sees the start and every accepted iterate.
+    """
+    lowest_x, lowest_f = x, math.inf
+
+    def evaluate(v):
+        nonlocal lowest_x, lowest_f
+        value, grad = fun(v)
+        value = float(value)
+        if value < lowest_f:
+            lowest_x, lowest_f = v, value
+        return value, grad
+
+    f, g = evaluate(x)
+    if callback is not None:
+        callback(x, f, g)
+    identity = np.eye(x.size)
+    inverse_hessian, fresh = identity, True
+    decrease = math.inf
+    steps = 0
+    while True:
+        reason = (
+            "gradient" if np.max(np.abs(g)) <= _GRADIENT_TOL
+            else "decrease" if decrease <= _DECREASE_TOL
+            else "maxiter" if steps == maxiter
+            else None
+        )
+        if reason:
+            break
+        p = -inverse_hessian @ g
+        slope = float(g @ p)
+        if not slope < 0:
+            inverse_hessian, fresh = identity, True
+            p, slope = -g, -float(g @ g)
+        # A steepest-descent trial step is at most of unit length.
+        alpha = min(1.0, 1.0 / float(np.linalg.norm(g))) if fresh else 1.0
+        found = _wolfe_step(evaluate, x, f, slope, p, alpha)
+        if found is None:
+            reason = "line search"
+            break
+        alpha, f_new, g_new = found
+        s, y = alpha * p, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            hy = inverse_hessian @ y
+            inverse_hessian = (
+                inverse_hessian
+                + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+                - (np.outer(hy, s) + np.outer(s, hy)) / sy
+            )
+            fresh = False
+        else:
+            inverse_hessian, fresh = identity, True
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x + s, f_new, g_new
+        steps += 1
+        if callback is not None:
+            callback(x, f, g)
+    return _Minimum(lowest_x, lowest_f, reason)
+
 
 @dataclasses.dataclass(frozen=True)
 class VqeResult:
@@ -120,6 +277,7 @@ class VqeResult:
     state: StateVector
     method: str
     restarts_used: int
+    stop_reason: str
 
 
 def vqe_minimize(
@@ -135,9 +293,10 @@ def vqe_minimize(
 
     The circuit structure comes from the spec's support set; the spec's
     coefficients only matter as one possible point on the manifold. Runs
-    L-BFGS-B on exact adjoint gradients from the given start plus uniformly
+    BFGS on exact adjoint gradients from the given start plus uniformly
     random restarts; ``restarts`` counts every start and, like ``maxiter``,
-    must be at least 1.
+    must be at least 1. ``stop_reason`` is the best start's (see ``_bfgs``);
+    a circuit without angles is a stationary point, ``gradient``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -147,7 +306,7 @@ def vqe_minimize(
     names = circuit.parameters
     if not names:
         state = run_circuit(circuit)
-        return VqeResult(expectation(state, h), {}, state, method, 0)
+        return VqeResult(expectation(state, h), {}, state, method, 0, "gradient")
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
@@ -158,26 +317,14 @@ def vqe_minimize(
     while len(starts) < restarts:
         starts.append(rng.uniform(-math.pi, math.pi, len(names)))
 
-    # Imported here, not at module level: no other command needs scipy.optimize,
-    # and it costs most of the package's import time.
-    import scipy.optimize
-
-    best: scipy.optimize.OptimizeResult | None = None
+    best: _Minimum | None = None
     for x0 in starts:
-        result = scipy.optimize.minimize(
-            lambda v: energy_gradient(circuit, v, h),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            # Loose relative-decrease defaults park the search well above the
-            # minimum on flat valleys; force gradient-driven termination.
-            options={"maxiter": maxiter, "gtol": 1e-10, "ftol": 1e-15},
-        )
-        if best is None or result.fun < best.fun:
+        result = _bfgs(lambda v: energy_gradient(circuit, v, h), x0, maxiter)
+        if best is None or result.f < best.f:
             best = result
     assignment = dict(zip(names, (float(v) for v in best.x)))
     state = run_circuit(bind_parameters(circuit, assignment))
-    return VqeResult(float(best.fun), assignment, state, method, len(starts))
+    return VqeResult(best.f, assignment, state, method, len(starts), best.stop_reason)
 
 
 # --- time-series phase estimation --------------------------------------------
@@ -215,6 +362,13 @@ def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
         raise ValueError(f"samples must run from 2 to {MAX_QCELS_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"sampling step must be finite and positive, got {tau}")
+    bracket = 2 * 2 * math.pi / (_QCELS_GRID_PER_SAMPLE * n_samples * tau)
+    if bracket / 2**_QCELS_BISECTIONS >= _QCELS_BRACKET_TOL:
+        raise ValueError(
+            f"step {tau} with {n_samples} samples is too small: its search bracket of "
+            f"{bracket:.3g} cannot shrink below {_QCELS_BRACKET_TOL:g} in "
+            f"{_QCELS_BISECTIONS} halvings"
+        )
     spread = _spectral_range(h)
     if spread > 0 and tau >= 2 * math.pi / spread:
         raise TauTooLarge(f"step {tau} aliases spectral range {spread:.6g}")
@@ -260,7 +414,7 @@ def _qcels_grid_scores(series: QcelsSeries) -> np.ndarray:
     """The objective at every energy -pi/tau + 2 pi k / (M tau), k < M = 10N,
     of the search grid. There exp(i n tau E_k) = (-1)^n exp(2 pi i n k / M),
     so the M sums are one inverse FFT of length M."""
-    m = 10 * series.values.size
+    m = _QCELS_GRID_PER_SAMPLE * series.values.size
     alternating = series.values * (-1.0) ** np.arange(series.values.size)
     return np.abs(m * np.fft.ifft(alternating, m)) ** 2
 
@@ -281,13 +435,13 @@ def qcels_estimate(series: QcelsSeries) -> float:
     a, b = grid[peak] - step, grid[peak] + step
 
     if _qcels_slope(series, a) > 0 > _qcels_slope(series, b):
-        for _ in range(80):
+        for _ in range(_QCELS_BISECTIONS):
             mid = 0.5 * (a + b)
             if _qcels_slope(series, mid) > 0:
                 a = mid
             else:
                 b = mid
-            if b - a < 1e-14:
+            if b - a < _QCELS_BRACKET_TOL:
                 break
         return 0.5 * (a + b) + series.shift
 

@@ -155,6 +155,7 @@ def _cmd_vqe(args) -> int:
         "energy": result.energy,
         "parameters": result.parameters,
         "restarts_used": result.restarts_used,
+        "stop_reason": result.stop_reason,
     }
     exact = _maybe_exact_ground(h)
     if exact is not None:

@@ -12,6 +12,7 @@ from mcprep.algorithms import (
     DegenerateCumulants,
     TauTooLarge,
     ZeroThirdCumulant,
+    _bfgs,
     _qcels_grid_scores,
     _qcels_objective,
     cmx2,
@@ -22,6 +23,7 @@ from mcprep.algorithms import (
     sceom_element_resources,
     sceom_energies,
     sceom_m_matrix,
+    synthesize,
     vqe_minimize,
 )
 from mcprep.configs import (
@@ -38,6 +40,7 @@ from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
     MAX_DENSE_EVOLVE_QUBITS,
     StateVector,
+    energy_gradient,
     exact_spectrum,
     expectation,
     moments,
@@ -213,6 +216,113 @@ def test_vqe_rejects_unknown_method():
     spec = validate_spec([(1.0, "10")])
     with pytest.raises(ValueError):
         vqe_minimize(h, spec, method="annealing")
+
+
+def rosenbrock(v):
+    x, y = v
+    value = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+    return value, np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+
+def convex_quadratic(rng, n: int):
+    """f = x.A.x / 2 - b.x with a seeded positive definite A, and its
+    minimizer A^-1 b."""
+    m = rng.standard_normal((n, n))
+    a = m @ m.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), np.linalg.solve(a, b)
+
+
+def vqe_energy(rng, method: str):
+    """The 6-qubit CISD(3,2) ansatz energy of a seeded operator, as
+    vqe_minimize hands it to the optimizer, with a random start."""
+    cisd = [str(x) for x in generate_cisd_configs(3, 2)]
+    spec = validate_spec([(1 / math.sqrt(len(cisd)), s) for s in cisd])
+    circuit = synthesize(spec, method, symbolic=True)
+    h = number_conserving_hamiltonian(rng, 6)
+    start = rng.uniform(-math.pi, math.pi, len(circuit.parameters))
+    return (lambda v: energy_gradient(circuit, v, h)), start
+
+
+def test_bfgs_reaches_rosenbrock_minimum_by_gradient():
+    result = _bfgs(rosenbrock, np.array([-1.2, 1.0]), 500)
+    assert result.stop_reason == "gradient"
+    assert np.max(np.abs(rosenbrock(result.x)[1])) <= 1e-10
+    assert result.x == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def test_bfgs_reaches_convex_quadratic_minimizer():
+    fun, minimizer = convex_quadratic(np.random.default_rng(20), 20)
+    result = _bfgs(fun, np.zeros(20), 500)
+    assert np.max(np.abs(result.x - minimizer)) <= 1e-8
+
+
+def test_bfgs_steps_meet_strong_wolfe():
+    rng = np.random.default_rng(21)
+    quadratic, _ = convex_quadratic(rng, 20)
+    problems = [(rosenbrock, np.array([-1.2, 1.0])), (quadratic, np.zeros(20)),
+                vqe_energy(rng, "gr"), vqe_energy(rng, "ssp")]
+    for fun, start in problems:
+        path = []
+        _bfgs(fun, start, 500, callback=lambda x, f, g: path.append((x.copy(), f, g.copy())))
+        assert len(path) > 3
+        for (x0, f0, g0), (x1, f1, g1) in zip(path, path[1:]):
+            slope = g0 @ (x1 - x0)
+            assert slope < 0
+            assert f1 <= f0 + 1e-4 * slope
+            assert abs(g1 @ (x1 - x0)) <= 0.9 * abs(slope)
+
+
+def test_bfgs_returns_at_once_from_a_stationary_point():
+    evaluated = []
+
+    def fun(v):
+        evaluated.append(v.copy())
+        return rosenbrock(v)
+
+    result = _bfgs(fun, np.array([1.0, 1.0]), 500)
+    assert result.stop_reason == "gradient"
+    assert len(evaluated) == 1
+    assert result.f == 0.0 and list(result.x) == [1.0, 1.0]
+
+
+def test_bfgs_gives_up_at_once_when_rounding_decides_the_line_search():
+    # As at a converged minimum: every step reads higher by rounding, and the
+    # gradient promises a decrease far below the decrease stop.
+    start = np.full(3, 1e-4)
+    evaluated = []
+
+    def fun(v):
+        evaluated.append(v)
+        return 5.0 + (0.0 if np.array_equal(v, start) else 2e-15), 1e-4 * v
+
+    result = _bfgs(fun, start, 500)
+    assert result.stop_reason == "line search"
+    assert len(evaluated) == 2
+    assert result.f == 5.0 and np.array_equal(result.x, start)
+
+
+def test_bfgs_never_returns_above_an_evaluated_point():
+    # The last case's gradient points uphill, so no step is ever accepted.
+    rng = np.random.default_rng(22)
+    cases = [(rosenbrock, np.array([-1.2, 1.0]), maxiter) for maxiter in (1, 2, 5, 500)]
+    for method in ("gr", "ssp"):
+        cases += [(*vqe_energy(rng, method), maxiter) for maxiter in (1, 500)]
+    cases.append((lambda v: (float(v @ v), -2 * v), np.array([0.5, -0.3]), 500))
+    reasons = set()
+    for fun, start, maxiter in cases:
+        values = []
+
+        def recorded(v):
+            f, g = fun(v)
+            values.append(f)
+            return f, g
+
+        result = _bfgs(recorded, start, maxiter)
+        assert result.f == min(values) <= values[0]
+        assert fun(result.x)[0] == result.f
+        reasons.add(result.stop_reason)
+    assert reasons >= {"maxiter", "line search"}
 
 
 # --- phase-series estimation ----------------------------------------------------------

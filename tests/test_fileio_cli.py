@@ -373,6 +373,22 @@ def test_cli_qcels_rejects_aliasing_step(tmp_path, capsys):
     assert err.startswith("error: step 10")
 
 
+def test_cli_qcels_rejects_unresolvable_step(tmp_path, capsys):
+    # The estimate's bisection cannot shrink a bracket of 4 pi / (10 N tau)
+    # to its stop in 80 halvings for tau = 1e-300, which used to report an
+    # estimate of -6.5e274; tau = 1e-9 still resolves the eigenvalue.
+    spec_path = write(tmp_path, "state.txt", "1 1100\n")
+    ham_path = write(tmp_path, "h.txt", DIAG_HAM_TEXT)
+    argv = ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--samples", "8"]
+    code, report, err = run_cli(capsys, [*argv, "--tau", "1e-300"])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: step 1e-300 with 8 samples is too small")
+    code, report, _ = run_cli(capsys, [*argv, "--tau", "1e-9"])
+    assert code == 0
+    assert report["estimate"] == pytest.approx(-0.75, abs=1e-9)
+
+
 def test_cli_qcels_reports_unconverged_spectral_range(tmp_path, capsys, monkeypatch):
     # Above 10 qubits the spectral range comes from eigsh, whose
     # non-convergence must end in the error contract, not a traceback.
@@ -428,6 +444,18 @@ def test_cli_vqe_respects_variational_bound(tmp_path, capsys):
     )
     assert isinstance(report["parameters"], dict)
     assert report["restarts_used"] >= 1
+    assert report["stop_reason"] in ("gradient", "decrease", "line search")
+
+
+def test_cli_vqe_reports_the_iteration_limit(tmp_path, capsys):
+    spec_path = write(tmp_path, "state.txt", SPEC_TEXT)
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    code, report, _ = run_cli(
+        capsys,
+        ["vqe", "--spec", spec_path, "--hamiltonian", ham_path, "--maxiter", "1"],
+    )
+    assert code == 0
+    assert report["stop_reason"] == "maxiter"
 
 
 @pytest.mark.parametrize(

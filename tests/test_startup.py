@@ -62,15 +62,7 @@ def test_commands_without_optimizer_start_without_scipy(tmp_path):
         ["sceom", "--hamiltonian", p["ham4"], "--orbitals", "2", "--electrons", "2",
          "--element-resources"],
         ["qcels", "--spec", p["spec8"], "--hamiltonian", p["ham8"], "--tau", "0.5"],
-    ])
-    assert result["codes"] == [0] * 8
-    assert result["scipy"] == []
-
-
-def test_vqe_imports_the_optimizer(tmp_path):
-    p = inputs(tmp_path)
-    result = run_fresh([
         ["vqe", "--spec", p["spec4"], "--hamiltonian", p["ham4"], "--restarts", "1"],
     ])
-    assert result["codes"] == [0]
-    assert "scipy.optimize" in result["scipy"]
+    assert result["codes"] == [0] * 9
+    assert result["scipy"] == []
