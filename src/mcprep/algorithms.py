@@ -159,8 +159,10 @@ def _interpolate(lo, hi) -> float:
 def _wolfe_step(fun, x: np.ndarray, f0: float, d0: float, p: np.ndarray, alpha: float):
     """A step length along the descent direction ``p`` that meets the strong
     Wolfe conditions, with the value and gradient there (Nocedal & Wright,
-    Alg. 3.5 with the zoom of Alg. 3.6); None when ``_LINE_SEARCH_EVALS``
-    evaluations find none, or when rounding decides the bracket. ``d0 < 0``
+    Alg. 3.5 with the zoom of Alg. 3.6). Otherwise the reason it gives up:
+    ``decrease`` when the first trial step already cannot lower f by more
+    than the decrease stop, ``line search`` when ``_LINE_SEARCH_EVALS``
+    evaluations find no step or rounding decides a later bracket. ``d0 < 0``
     is the slope along ``p`` at ``x``; brackets hold (step, value, slope)
     triples."""
     prev = (0.0, f0, d0)
@@ -192,11 +194,14 @@ def _wolfe_step(fun, x: np.ndarray, f0: float, d0: float, p: np.ndarray, alpha: 
         top = max(lo[0], hi[0])
         # Rounding decides the tests once no step in the bracket can lower f
         # by more than the decrease stop, or once its steps differ by rounding.
-        if (-d0 * top <= _DECREASE_TOL * max(abs(f0), 1.0)
-                or abs(hi[0] - lo[0]) <= _BRACKET_RTOL * top):
-            return None
+        # At the first trial that means f has converged, not that the search
+        # broke down.
+        if -d0 * top <= _DECREASE_TOL * max(abs(f0), 1.0):
+            return "decrease" if i == 0 else "line search"
+        if abs(hi[0] - lo[0]) <= _BRACKET_RTOL * top:
+            return "line search"
         alpha = _interpolate(lo, hi)
-    return None
+    return "line search"
 
 
 def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
@@ -206,8 +211,9 @@ def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
 
     Stops for one reason: ``gradient`` (max |g| <= _GRADIENT_TOL),
     ``decrease`` (the last step lowered f by at most _DECREASE_TOL times the
-    largest of 1 and |f| before and after it), ``maxiter`` (that many steps
-    taken) or ``line search`` (no strong-Wolfe step found). The inverse
+    largest of 1 and |f| before and after it, or the line search's first
+    trial step could not lower it by more than that), ``maxiter`` (that many
+    steps taken) or ``line search`` (no strong-Wolfe step found). The inverse
     Hessian starts as the identity and goes back to it whenever a step's
     curvature s.y is not positive. Returns the lowest point evaluated.
     ``callback(x, f, g)`` sees the start and every accepted iterate.
@@ -246,8 +252,8 @@ def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
         # A steepest-descent trial step is at most of unit length.
         alpha = min(1.0, 1.0 / float(np.linalg.norm(g))) if fresh else 1.0
         found = _wolfe_step(evaluate, x, f, slope, p, alpha)
-        if found is None:
-            reason = "line search"
+        if isinstance(found, str):
+            reason = found
             break
         alpha, f_new, g_new = found
         s, y = alpha * p, g_new - g

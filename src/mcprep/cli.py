@@ -359,6 +359,10 @@ def main(argv=None) -> int:
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

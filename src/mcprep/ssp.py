@@ -16,6 +16,12 @@ specification's entries yields the same structure.
 Rotation controls guard against collateral rotation of other support strings:
 a greedy cover picks, among the qubits where the folded pair agrees, the ones
 that eliminate the most remaining offenders (lowest qubit on ties).
+
+The planner holds the support as ints with qubit 0 as the most significant
+bit, as OnConfig.index does, and scores a merge step's pairs on qubit
+columns built once for that step: bitsets over the sorted support, so a
+greedy round is one popcount per qubit. OnConfig objects are built only for
+the MergeStep records and the final survivor.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import itertools
 import math
 
 from .circuits import Circuit, Gate, cnot_gate, ry_gate, x_gate
-from .configs import OnConfig, StateSpec, hamming, xor_support
+from .configs import OnConfig, StateSpec
 
 
 class MergeError(ValueError):
@@ -52,90 +58,109 @@ def merge_angle(c1: float, c2: float) -> float:
     return math.atan2(c2, c1)
 
 
-def _conjugated(config: OnConfig, pivot: int, others: tuple[int, ...]) -> OnConfig:
-    if not config[pivot] or not others:
-        return config
-    return config.flipped(others)
+def _config(value: int, n: int) -> OnConfig:
+    """The configuration whose OnConfig.index is value."""
+    return OnConfig(tuple(value >> (n - 1 - q) & 1 for q in range(n)))
 
 
-def _greedy_controls(
-    y_ref: OnConfig, pivot: int, threats: list[OnConfig]
+def _columns(strings: list[int], n: int) -> list[int]:
+    """Per qubit q, the bitset over positions in strings of those with q set."""
+    cols = [0] * n
+    for i, x in enumerate(strings):
+        while x:
+            low = x & -x
+            cols[n - low.bit_length()] |= 1 << i
+            x ^= low
+    return cols
+
+
+def _controls(
+    strings: list[int], cols: list[int], i: int, j: int, n: int
 ) -> tuple[tuple[int, int], ...]:
-    chosen: dict[int, int] = {}
-    remaining = list(threats)
-    n = y_ref.n_qubits
-    while remaining:
+    """Greedy rotation controls for merging strings[j] into strings[i] < strings[j].
+
+    Every other string is imaged by the fold: one with the pivot set has the
+    rest of the difference flipped, so the imaged column of a folded qubit
+    is its column XOR the pivot's column.
+    """
+    merged, survivor = strings[j], strings[i]
+    diff = merged ^ survivor
+    pivot = n - diff.bit_length()
+    fold = diff ^ (1 << (n - 1 - pivot))
+    differs = []
+    for q, col in enumerate(cols):
+        shift = n - 1 - q
+        if fold >> shift & 1:
+            col ^= cols[pivot]
+        differs.append(~col if survivor >> shift & 1 else col)
+    differs[pivot] = 0  # the rotation's target is never one of its controls
+    others = ((1 << len(strings)) - 1) ^ (1 << i) ^ (1 << j)
+    chosen = []
+    while others:
         best_q, best_hits = -1, 0
-        for q in range(n):
-            if q == pivot or q in chosen:
-                continue
-            hits = sum(1 for z in remaining if z[q] != y_ref[q])
+        for q, column in enumerate(differs):
+            hits = (column & others).bit_count()
             if hits > best_hits:
                 best_q, best_hits = q, hits
         if best_hits == 0:
             raise MergeError("support strings are not distinguishable by controls")
-        chosen[best_q] = y_ref[best_q]
-        remaining = [z for z in remaining if z[best_q] == y_ref[best_q]]
-    return tuple(sorted(chosen.items()))
+        chosen.append((best_q, survivor >> (n - 1 - best_q) & 1))
+        others &= ~differs[best_q]
+    return tuple(sorted(chosen))
 
 
-def _pair_cost(
-    pair: tuple[OnConfig, OnConfig], support: list[OnConfig]
-) -> tuple[int, int]:
-    a, b = pair
-    diffs = xor_support(a, b)
-    pivot, others = diffs[0], tuple(diffs[1:])
-    images = {x: _conjugated(x, pivot, others) for x in support}
-    threats = [images[x] for x in support if x not in pair]
-    controls = _greedy_controls(images[b], pivot, threats)
-    return len(diffs), len(controls)
-
-
-def select_merge_pair(support) -> tuple[OnConfig, OnConfig]:
-    """Cheapest pair to merge; returns (merged, survivor) where the survivor
+def select_merge_pair(support, n_qubits: int) -> tuple[int, int]:
+    """Cheapest pair to merge among support strings held as ints, qubit 0 the
+    most significant bit; returns (merged, survivor) where the survivor
     holds 0 on the pivot qubit."""
-    strings = sorted(support, key=str)
+    strings = sorted(support)
     if len(strings) < 2:
         raise MergeError("need at least two support strings to merge")
-    pairs = list(itertools.combinations(strings, 2))
+    pairs = list(itertools.combinations(range(len(strings)), 2))
     # The distance leads the key, so only pairs at the minimum distance can
-    # win and only they need the support imaged and the controls covered.
-    distances = [hamming(a, b) for a, b in pairs]
+    # win and only they need their controls covered.
+    distances = [(a ^ b).bit_count() for a, b in itertools.combinations(strings, 2)]
     nearest = min(distances)
-    best = min(
+    cols = _columns(strings, n_qubits)
+    # Sorted equal-width ints order like their bit strings, so ties break on
+    # the strings; the larger one holds 1 on the pivot and is merged.
+    i, j = min(
         (pair for pair, d in zip(pairs, distances) if d == nearest),
-        key=lambda pair: (_pair_cost(pair, strings), str(pair[0]), str(pair[1])),
+        key=lambda pair: (len(_controls(strings, cols, *pair, n_qubits)), pair),
     )
-    pivot = xor_support(*best)[0]
-    return best if best[0][pivot] else (best[1], best[0])
+    return strings[j], strings[i]
 
 
 def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
     """Disentangling schedule and the final surviving string."""
-    amplitudes: dict[OnConfig, float] = {x: c for c, x in spec.entries}
+    n = spec.n_q
+    amplitudes: dict[int, float] = {x.index: c for c, x in spec.entries}
     steps: list[MergeStep] = []
     while len(amplitudes) > 1:
-        merged, survivor = select_merge_pair(amplitudes)
-        diffs = xor_support(merged, survivor)
-        pivot, others = diffs[0], tuple(diffs[1:])
-
-        images = {_conjugated(x, pivot, others): c for x, c in amplitudes.items()}
-        y1 = _conjugated(merged, pivot, others)
-        y2 = _conjugated(survivor, pivot, others)
-        threats = [z for z in images if z not in (y1, y2)]
-        controls = _greedy_controls(y2, pivot, threats)
+        merged, survivor = select_merge_pair(amplitudes, n)
+        strings = sorted(amplitudes)
+        i, j = strings.index(survivor), strings.index(merged)
+        controls = _controls(strings, _columns(strings, n), i, j, n)
+        diff = merged ^ survivor
+        pivot = n - diff.bit_length()
+        pivot_bit = 1 << (n - 1 - pivot)
+        fold = diff ^ pivot_bit
+        conjugations = tuple(q for q in range(pivot + 1, n) if fold >> (n - 1 - q) & 1)
 
         # The survivor always holds 0 on the pivot, so Ry(phi) must send
         # |1> cos + |0> sin on the pivot wire to |0> with weight hypot.
-        c1, c2 = images[y1], images[y2]
+        c1, c2 = amplitudes.pop(merged), amplitudes[survivor]
         phi = 2 * math.atan2(-c1, c2)
         steps.append(
-            MergeStep(merged, survivor, pivot, others, controls, merge_angle(c1, c2), phi)
+            MergeStep(
+                _config(merged, n), _config(survivor, n), pivot, conjugations,
+                controls, merge_angle(c1, c2), phi,
+            )
         )
-        del images[y1]
-        images[y2] = math.hypot(c1, c2)
-        amplitudes = images
-    return steps, next(iter(amplitudes))
+        amplitudes[survivor] = math.hypot(c1, c2)
+        amplitudes = {(x ^ fold if x & pivot_bit else x): c for x, c in amplitudes.items()}
+    (survivor,) = amplitudes
+    return steps, _config(survivor, n)
 
 
 def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:

@@ -297,7 +297,7 @@ def test_bfgs_gives_up_at_once_when_rounding_decides_the_line_search():
         return 5.0 + (0.0 if np.array_equal(v, start) else 2e-15), 1e-4 * v
 
     result = _bfgs(fun, start, 500)
-    assert result.stop_reason == "line search"
+    assert result.stop_reason == "decrease"
     assert len(evaluated) == 2
     assert result.f == 5.0 and np.array_equal(result.x, start)
 

@@ -548,6 +548,20 @@ def test_cli_spectrum(tmp_path, capsys):
     assert np.allclose(report["lowest"], exact, atol=1e-12)
 
 
+def test_cli_reports_out_of_memory_as_error(tmp_path, capsys, monkeypatch):
+    # A dense eigensolve too large for the process's address space raises
+    # MemoryError; it must end on the error contract, not a traceback.
+    def eigh(matrix):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    code, report, err = run_cli(capsys, ["spectrum", "--hamiltonian", ham_path])
+    assert code == 1
+    assert report is None
+    assert err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+
+
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     spec_path = write(tmp_path, "state.txt", "0.6 1100\n0.8 0110\n")
     nan_angle = json.dumps({

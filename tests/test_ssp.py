@@ -19,12 +19,11 @@ from mcprep.circuits import (
     ry_gate,
 )
 from mcprep import ssp
-from mcprep.configs import OnConfig, validate_spec, xor_support
+from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec, xor_support
 from mcprep.givens import synthesize_gr
 from mcprep.simulator import StateVector, fidelity_up_to_phase, run_circuit
 from mcprep.ssp import (
     MergeError,
-    _pair_cost,
     merge_angle,
     plan_merges,
     select_merge_pair,
@@ -60,55 +59,104 @@ def test_merge_angle_recovers_both_coefficients():
 # --- pair selection ----------------------------------------------------------------
 
 
+def _bits(value: int, n: int) -> str:
+    return format(value, f"0{n}b")
+
+
 def test_survivor_holds_zero_on_pivot():
     rng = np.random.default_rng(62)
     for _ in range(40):
         spec = random_equal_weight_spec(rng, int(rng.integers(3, 9)), 5)
-        merged, survivor = select_merge_pair(list(spec.configs))
-        from mcprep.configs import xor_support
-
-        pivot = xor_support(merged, survivor)[0]
-        assert merged[pivot] == 1
-        assert survivor[pivot] == 0
+        n = spec.n_q
+        merged, survivor = select_merge_pair([x.index for x in spec.configs], n)
+        pivot = _bits(merged ^ survivor, n).index("1")
+        assert _bits(merged, n)[pivot] == "1"
+        assert _bits(survivor, n)[pivot] == "0"
 
 
 def test_pair_selection_prefers_small_differences():
     # 110000/101000 is the only pair two flips apart; the other pairs need
     # four flips, so the close pair must win regardless of lex order.
-    support = [
-        OnConfig.from_string("110000"),
-        OnConfig.from_string("101000"),
-        OnConfig.from_string("000011"),
-    ]
-    merged, survivor = select_merge_pair(support)
-    assert {str(merged), str(survivor)} == {"110000", "101000"}
+    support = [0b110000, 0b101000, 0b000011]
+    merged, survivor = select_merge_pair(support, 6)
+    assert {_bits(merged, 6), _bits(survivor, 6)} == {"110000", "101000"}
     # Ties on (distance, controls) break lexicographically; the survivor then
     # reorients so that it carries 0 on the shared pivot.
-    tied = [OnConfig.from_string(s) for s in ("1100", "1010", "0011")]
-    merged, survivor = select_merge_pair(tied)
-    assert (str(merged), str(survivor)) == ("1010", "0011")
+    merged, survivor = select_merge_pair([0b1100, 0b1010, 0b0011], 4)
+    assert (_bits(merged, 4), _bits(survivor, 4)) == ("1010", "0011")
 
 
 def test_pair_selection_needs_two_strings():
     with pytest.raises(MergeError):
-        select_merge_pair([OnConfig.from_string("10")])
+        select_merge_pair([0b10], 2)
 
 
-def _all_pairs_selection(support, ties):
-    """Reference rule: score every pair by (distance, controls, strings).
-    Appends to ties the number of pairs at the minimum distance and how many
-    control counts they take."""
-    strings = sorted(support, key=str)
+# Reference scorer on OnConfig objects, independent of the planner's
+# bitmask columns: image the support through the fold, then cover the
+# imaged threats greedily, lowest qubit on ties.
+
+
+def _conjugated(config: OnConfig, pivot: int, others: tuple[int, ...]) -> OnConfig:
+    if not config[pivot] or not others:
+        return config
+    return config.flipped(others)
+
+
+def _greedy_controls(
+    y_ref: OnConfig, pivot: int, threats: list[OnConfig]
+) -> tuple[tuple[int, int], ...]:
+    chosen: dict[int, int] = {}
+    remaining = list(threats)
+    n = y_ref.n_qubits
+    while remaining:
+        best_q, best_hits = -1, 0
+        for q in range(n):
+            if q == pivot or q in chosen:
+                continue
+            hits = sum(1 for z in remaining if z[q] != y_ref[q])
+            if hits > best_hits:
+                best_q, best_hits = q, hits
+        if best_hits == 0:
+            raise MergeError("support strings are not distinguishable by controls")
+        chosen[best_q] = y_ref[best_q]
+        remaining = [z for z in remaining if z[best_q] == y_ref[best_q]]
+    return tuple(sorted(chosen.items()))
+
+
+def _pair_cost(
+    pair: tuple[OnConfig, OnConfig], support: list[OnConfig]
+) -> tuple[int, int]:
+    a, b = pair
+    diffs = xor_support(a, b)
+    pivot, others = diffs[0], tuple(diffs[1:])
+    images = {x: _conjugated(x, pivot, others) for x in support}
+    threats = [images[x] for x in support if x not in pair]
+    controls = _greedy_controls(images[b], pivot, threats)
+    return len(diffs), len(controls)
+
+
+def _reference_selection(support, n, ties, every_pair):
+    """Reference rule: score pairs by (distance, controls, strings), every
+    pair when every_pair is set, else only the pairs at the minimum distance,
+    which the key's leading distance already decides. Appends to ties the
+    number of pairs at the minimum distance and how many control counts
+    they take. Returns (merged, survivor) as ints, like select_merge_pair."""
+    strings = sorted((OnConfig.from_string(_bits(x, n)) for x in support), key=str)
+    pairs = list(itertools.combinations(strings, 2))
+    distances = [len(xor_support(a, b)) for a, b in pairs]
+    nearest = min(distances)
     keys = [
         (*_pair_cost(pair, strings), str(pair[0]), str(pair[1]), pair)
-        for pair in itertools.combinations(strings, 2)
+        for pair, d in zip(pairs, distances)
+        if every_pair or d == nearest
     ]
     best_key = min(keys)
-    nearest = {key[1] for key in keys if key[0] == best_key[0]}
-    ties.append((sum(key[0] == best_key[0] for key in keys), len(nearest)))
+    counts = {key[1] for key in keys if key[0] == nearest}
+    ties.append((distances.count(nearest), len(counts)))
     best = best_key[-1]
     pivot = xor_support(*best)[0]
-    return best if best[0][pivot] else (best[1], best[0])
+    merged, survivor = best if best[0][pivot] else (best[1], best[0])
+    return merged.index, survivor.index
 
 
 def _random_support_spec(rng: random.Random):
@@ -121,21 +169,37 @@ def _random_support_spec(rng: random.Random):
     while len(strings) < k:
         ones = set(rng.sample(range(n), weight))
         strings.add("".join("1" if q in ones else "0" for q in range(n)))
+    return _signed_spec(rng, sorted(strings))
+
+
+def _signed_spec(rng: random.Random, strings):
+    """The strings with random normalized coefficients bounded away from zero."""
     coeffs = [rng.choice((-1, 1)) * rng.uniform(0.2, 1.0) for _ in strings]
     norm = math.sqrt(math.fsum(c * c for c in coeffs))
-    return validate_spec([(c / norm, s) for c, s in zip(coeffs, sorted(strings))])
+    return validate_spec([(c / norm, s) for c, s in zip(coeffs, strings)])
 
 
 def test_merge_plan_matches_all_pairs_reference(monkeypatch):
-    # Only pairs at the minimum distance are scored; the plan must equal the
-    # one from scoring every pair, including steps where several pairs tie
-    # on distance and the control count decides.
+    # The planner scores only the pairs at the minimum distance, on bitmask
+    # columns; its plan must equal the OnConfig reference's, including steps
+    # where several pairs tie on distance and the control count decides.
+    # Scoring every pair of a support of K strings costs O(K**4) per plan,
+    # so from CISD(5,4) on (K = 55-118) the reference scores the nearest
+    # pairs only.
     rng = random.Random(67)
-    specs = [_random_support_spec(rng) for _ in range(40)]
-    pruned = [plan_merges(spec) for spec in specs]
+    cases = [(_random_support_spec(rng), True) for _ in range(40)]
+    for n_orb, n_elec in ((3, 2), (4, 4), (5, 4), (6, 4), (6, 6)):
+        strings = [str(x) for x in generate_cisd_configs(n_orb, n_elec)]
+        cases.append((_signed_spec(rng, strings), len(strings) <= 30))
+    planned = [plan_merges(spec) for spec, _ in cases]
     ties: list[tuple[int, int]] = []
-    monkeypatch.setattr(ssp, "select_merge_pair", lambda s: _all_pairs_selection(s, ties))
-    assert pruned == [plan_merges(spec) for spec in specs]
+    for (spec, every_pair), plan in zip(cases, planned):
+        monkeypatch.setattr(
+            ssp,
+            "select_merge_pair",
+            lambda s, n: _reference_selection(s, n, ties, every_pair),
+        )
+        assert plan_merges(spec) == plan
     assert sum(n > 1 for n, _ in ties) > 100
     assert sum(counts > 1 for _, counts in ties) > 10
 
