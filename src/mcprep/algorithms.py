@@ -13,7 +13,7 @@ from .configs import ExcitationOp, OnConfig, StateSpec, apply_excitation, hammin
 from .givens import synthesize_gr
 from .paulis import PauliSum
 from .simulator import (
-    MAX_DENSE_EVOLVE_QUBITS,
+    MAX_DENSE_EIGEN_QUBITS,
     StateVector,
     energy_gradient,
     evolve,
@@ -347,7 +347,7 @@ class QcelsSeries:
 
 
 def _spectral_range(h: PauliSum) -> float:
-    if h.n_qubits <= MAX_DENSE_EVOLVE_QUBITS:
+    if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
         values = h.eigensystem[0]
         return float(values[-1] - values[0])
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -387,7 +387,7 @@ def qcels_series(state, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
     amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
     n = np.arange(n_samples)
 
-    if h.n_qubits <= MAX_DENSE_EVOLVE_QUBITS:
+    if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
         values, vectors = h.eigensystem
         weights = np.abs(vectors.conj().T @ amps) ** 2
         z = (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
@@ -524,6 +524,8 @@ def sceom_m_matrix(
     probe states are synthesized.
     """
     excitations = tuple(excitations)
+    if not excitations:
+        raise ValueError(f"reference {hf} admits no excitation, so the excitation matrix is empty")
     configs, signs = _excited_configs(hf, excitations)
 
     def energy(spec: StateSpec) -> float:

@@ -600,7 +600,11 @@ def _decompose(rec: tuple, gateset: GateSet, memo: dict) -> list[tuple]:
 
 
 def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
-    """Expand one gate into the target set, eliminating all extra controls."""
+    """Expand one gate into the target set, eliminating all extra controls.
+
+    A test hook, not a program path: compile_circuit also simplifies, so the
+    tests check each template alone, before simplification, through this.
+    """
     if g.kind in gateset.kinds and not g.controls:
         return [g]
     g.numeric_params()  # free symbols raise UnboundParameterError

@@ -14,11 +14,12 @@ from . import algorithms, fileio
 from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
 from .configs import StateSpec, cisd_excitations, hartree_fock_config
 from .paulis import PauliSum
-from .simulator import StateVector, exact_spectrum, fidelity_up_to_phase, moments, run_circuit
+from .simulator import (
+    MAX_DENSE_EIGEN_QUBITS, StateVector, exact_spectrum, fidelity_up_to_phase, moments, run_circuit,
+)
 
 REPORT_SCHEMA = "mcprep/1"
 SYNTH_FIDELITY = 1e-9
-EXACT_REFERENCE_MAX_QUBITS = 10
 
 # The package's own input errors (ParseError, SpecValidationError,
 # AngleUnderflowError, PlanError, MergeError, TauTooLarge) are ValueErrors.
@@ -65,12 +66,15 @@ def _synth_one(spec: StateSpec, method: str, gateset_name: str) -> tuple[dict, C
 
 def _cmd_synth(args) -> int:
     if args.spec_dir:
+        paths = sorted(p for p in pathlib.Path(args.spec_dir).iterdir() if p.is_file())
+        if not paths:
+            raise ValueError(f"no spec files in {args.spec_dir}")
         results = []
         all_ok = True
         out_dir = pathlib.Path(args.out) if args.out else None
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-        for path in sorted(p for p in pathlib.Path(args.spec_dir).iterdir() if p.is_file()):
+        for path in paths:
             spec = fileio.parse_state_spec(path.read_text())
             body, circuit, ok = _synth_one(spec, args.method, args.gateset)
             body["spec"] = str(path)
@@ -137,7 +141,7 @@ def _cmd_resources(args) -> int:
 
 
 def _maybe_exact_ground(h: PauliSum) -> float | None:
-    if h.n_qubits > EXACT_REFERENCE_MAX_QUBITS:
+    if h.n_qubits > MAX_DENSE_EIGEN_QUBITS:
         return None
     return float(exact_spectrum(h).values[0])
 

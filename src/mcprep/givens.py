@@ -26,6 +26,7 @@ negative).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from .circuits import Circuit, Gate, g2_gate, g4_gate, swap_gate, x_gate
@@ -131,7 +132,7 @@ def _swap_image(pattern: OnConfig, step: ControlledSwapStep) -> OnConfig:
     return pattern
 
 
-def plan_high_order(
+def _plan_high_order(
     reference: OnConfig, target: OnConfig, previous: tuple[OnConfig, ...]
 ) -> SwapGadget:
     """Gadget construction for a pattern pair more than four flips apart.
@@ -157,18 +158,12 @@ def plan_high_order(
         swaps.append(ControlledSwapStep((i, j), ctrls))
         walked = walked.flipped((i, j))
 
-    support = xor_support(walked, target)
-    targets = _ordered_targets(walked, support)
-    central: dict[int, int] = {}
-    for x_p in previous:
-        image = x_p
-        for step in swaps:
-            image = _swap_image(image, step)
-        i, j = targets
-        if image[i] != image[j]:
-            q, state = _disturbance_control(image, target, walked, targets)
-            central.setdefault(q, state)
-    return SwapGadget(tuple(swaps), targets, tuple(sorted(central.items())))
+    targets = _ordered_targets(walked, xor_support(walked, target))
+    # The central rotation is a direct one from the walked reference, checked
+    # against each earlier configuration's image under the walk.
+    images = tuple(functools.reduce(_swap_image, swaps, x_p) for x_p in previous)
+    central = _plan_direct(walked, target, images, targets)
+    return SwapGadget(tuple(swaps), targets, central.controls)
 
 
 def plan_rotations(configs) -> RotationPlan:
@@ -195,7 +190,7 @@ def plan_rotations(configs) -> RotationPlan:
             targets = _ordered_targets(reference, support)
             rotations.append(_plan_direct(reference, x_e, previous, targets))
         else:
-            gadget = plan_high_order(reference, x_e, previous)
+            gadget = _plan_high_order(reference, x_e, previous)
             rotations.append(PlannedRotation(gadget.targets, gadget.controls, gadget))
     return RotationPlan(reference.n_qubits, configs, tuple(rotations))
 

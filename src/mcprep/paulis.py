@@ -67,10 +67,6 @@ class PauliWord:
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def matrix(self) -> np.ndarray:
         """Dense matrix via explicit Kronecker products (oracle-grade path)."""
         out = np.eye(1, dtype=complex)
@@ -150,13 +146,6 @@ class PauliSum:
     @property
     def identity_coefficient(self) -> float:
         return self._terms.get(PauliWord(0, 0, self.n_qubits), 0.0)
-
-    def shifted(self, offset: float) -> PauliSum:
-        """Add offset times the identity word."""
-        ident = PauliWord(0, 0, self.n_qubits)
-        terms = dict(self._terms)
-        terms[ident] = terms.get(ident, 0.0) + offset
-        return PauliSum(terms, self.n_qubits)
 
     @functools.cached_property
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from .paulis import PauliSum, expectation_of_sum
 
 MAX_SIM_QUBITS = 16
 MAX_UNITARY_QUBITS = 12
-MAX_DENSE_EVOLVE_QUBITS = 10
+MAX_DENSE_EIGEN_QUBITS = 10  # evolve, QCELS and exact references read h.eigensystem up to here
 MAX_SPECTRUM_QUBITS = 14
 MAX_MOMENT_ORDER = 8
 
@@ -224,13 +224,13 @@ def moments(state, h: PauliSum, m_max: int) -> list[float]:
 
 
 def evolve(state, h: PauliSum, t: float) -> StateVector:
-    """exp(-i H t) applied to the state; dense below MAX_DENSE_EVOLVE_QUBITS,
+    """exp(-i H t) applied to the state; dense below MAX_DENSE_EIGEN_QUBITS,
     sparse Krylov beyond."""
     n = h.n_qubits
     amps = _as_amps(state)
     if amps.shape != (1 << n,):
         raise ValueError("state does not match Hamiltonian register")
-    if n <= MAX_DENSE_EVOLVE_QUBITS:
+    if n <= MAX_DENSE_EIGEN_QUBITS:
         values, vectors = h.eigensystem
         phases = np.exp(-1j * values * t)
         out = vectors @ (phases * (vectors.conj().T @ amps))

