@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, bind_parameters
+from .circuits import Circuit, bind_parameters, compile_circuit, count_resources, gateset_by_name
 from .configs import ExcitationOp, OnConfig, StateSpec, apply_excitation, hamming, validate_spec
 from .givens import synthesize_gr
 from .paulis import PauliSum
@@ -281,7 +281,6 @@ class VqeResult:
     energy: float
     parameters: dict[str, float]
     state: StateVector
-    method: str
     restarts_used: int
     stop_reason: str
 
@@ -290,7 +289,6 @@ def vqe_minimize(
     h: PauliSum,
     spec: StateSpec,
     method: str = "gr",
-    initial: dict[str, float] | None = None,
     restarts: int = 3,
     seed: int = 0,
     maxiter: int = 500,
@@ -299,8 +297,9 @@ def vqe_minimize(
 
     The circuit structure comes from the spec's support set; the spec's
     coefficients only matter as one possible point on the manifold. Runs
-    BFGS on exact adjoint gradients from the given start plus uniformly
-    random restarts; ``restarts`` counts every start and, like ``maxiter``,
+    BFGS on exact adjoint gradients from uniformly random starts, the first
+    of which is all-zero angles (the reference) for ``gr``; ``restarts``
+    counts every start and, like ``maxiter``,
     must be at least 1. ``stop_reason`` is the best start's (see ``_bfgs``);
     a circuit without angles is a stationary point, ``gradient``.
     """
@@ -312,13 +311,11 @@ def vqe_minimize(
     names = circuit.parameters
     if not names:
         state = run_circuit(circuit)
-        return VqeResult(expectation(state, h), {}, state, method, 0, "gradient")
+        return VqeResult(expectation(state, h), {}, state, 0, "gradient")
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
-    if initial is not None:
-        starts.append(np.array([initial[name] for name in names]))
-    elif method == "gr":
+    if method == "gr":
         starts.append(np.zeros(len(names)))
     while len(starts) < restarts:
         starts.append(rng.uniform(-math.pi, math.pi, len(names)))
@@ -330,7 +327,7 @@ def vqe_minimize(
             best = result
     assignment = dict(zip(names, (float(v) for v in best.x)))
     state = run_circuit(bind_parameters(circuit, assignment))
-    return VqeResult(best.f, assignment, state, method, len(starts), best.stop_reason)
+    return VqeResult(best.f, assignment, state, len(starts), best.stop_reason)
 
 
 # --- time-series phase estimation --------------------------------------------
@@ -479,8 +476,6 @@ class MMatrix:
     values: np.ndarray
     ground_energy: float
     excitations: tuple[ExcitationOp, ...]
-    configs: tuple[OnConfig, ...]
-    signs: tuple[int, ...]
 
 
 def _excited_configs(hf: OnConfig, excitations) -> tuple[list[OnConfig], list[int]]:
@@ -544,7 +539,7 @@ def sceom_m_matrix(
         for j in range(i + 1, size):
             pair_energy = energy(_pair_spec(configs, signs, i, j)) - e_ground
             m[i, j] = m[j, i] = pair_energy - diag[i] / 2 - diag[j] / 2
-    return MMatrix(m, e_ground, excitations, tuple(configs), tuple(signs))
+    return MMatrix(m, e_ground, excitations)
 
 
 def sceom_energies(m: MMatrix | np.ndarray) -> np.ndarray:
@@ -571,23 +566,15 @@ class ElementResources:
 def sceom_element_resources(hf: OnConfig, excitations, gateset_name: str = "zz"):
     """Per-pair preparation costs for both methods, with the Hamming distance
     between the combined configurations."""
-    from .circuits import compile_circuit, count_resources, gateset_by_name
-
     gateset = gateset_by_name(gateset_name)
     configs, signs = _excited_configs(hf, tuple(excitations))
     out = []
     for i in range(len(configs)):
         for j in range(i + 1, len(configs)):
             spec = _pair_spec(configs, signs, i, j)
-            gr = count_resources(compile_circuit(synthesize_gr(spec), gateset))
-            ssp = count_resources(compile_circuit(synthesize_ssp(spec), gateset))
-            out.append(
-                ElementResources(
-                    i,
-                    j,
-                    hamming(configs[i], configs[j]),
-                    gr.two_qubit_total,
-                    ssp.two_qubit_total,
-                )
+            gr, ssp = (
+                count_resources(compile_circuit(synthesize(spec, method), gateset)).two_qubit_total
+                for method in ("gr", "ssp")
             )
+            out.append(ElementResources(i, j, hamming(configs[i], configs[j]), gr, ssp))
     return out

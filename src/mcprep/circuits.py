@@ -44,10 +44,6 @@ PARAM_ARITY = {X: 0, RY: 1, RZ: 1, PHASEDX: 2, CNOT: 0, ZZMAX: 0, SWAP: 0, G2: 1
 _NULL_EPS = 1e-12
 
 
-def _wires(targets: tuple[int, ...], controls) -> tuple[int, ...]:
-    return targets + tuple(q for q, _ in controls) if controls else targets
-
-
 class UnboundParameterError(ValueError):
     """Raised when an operation needs numeric angles but symbols remain."""
 
@@ -88,7 +84,7 @@ class Gate:
 
     @property
     def wires(self) -> tuple[int, ...]:
-        return _wires(self.targets, self.controls)
+        return self.targets + tuple(q for q, _ in self.controls) if self.controls else self.targets
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -97,11 +93,6 @@ class Gate:
     def bound(self, values: dict[str, float]) -> Gate:
         params = tuple(values[p] if isinstance(p, str) else p for p in self.params)
         return dataclasses.replace(self, params=params)
-
-    def numeric_params(self) -> tuple[float, ...]:
-        if self.symbols:
-            raise UnboundParameterError(f"unbound parameters {self.symbols} on {self.kind}")
-        return tuple(float(p) for p in self.params)
 
 
 def gate(kind: str, targets, controls=(), params=()) -> Gate:
@@ -174,9 +165,6 @@ class Circuit:
         for g in self.gates:
             names.update(g.symbols)
         return tuple(sorted(names))
-
-
-_SELF_INVERSE = {X, CNOT, SWAP}
 
 
 def bind_parameters(c: Circuit, values: dict[str, float]) -> Circuit:
@@ -407,9 +395,6 @@ def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[tuple]:
     return out
 
 
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
 def _toffoli(c1: int, c2: int, t: int) -> list[tuple]:
     """Standard six-CNOT Toffoli with T rotations written as Rz(pi/4)."""
     quarter = math.pi / 4
@@ -465,7 +450,7 @@ def _mcx_template(k: int) -> tuple[tuple, ...]:
     Its angles come from the square roots of X and depend on k alone, so each
     control count is solved once per process.
     """
-    return tuple(_mc_unitary(tuple(range(k)), k, _X_MATRIX))
+    return tuple(_mc_unitary(tuple(range(k)), k, _FIXED_MATRICES[X]))
 
 
 def _mcx_ones(controls: tuple[int, ...], t: int) -> list[tuple]:
@@ -607,29 +592,30 @@ def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
     """
     if g.kind in gateset.kinds and not g.controls:
         return [g]
-    g.numeric_params()  # free symbols raise UnboundParameterError
+    if g.symbols:
+        raise UnboundParameterError(f"unbound parameters {g.symbols} on {g.kind}")
     return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset, {})]
 
 
 # --- peephole simplification and compilation ---------------------------------
 
 
-_ROTATIONS = frozenset({RY, RZ, PHASEDX, G2, G4})
+# Expansion hands the simplifier only uncontrolled records whose kinds are in
+# the target set, so a record's targets are its wires.
+_ROTATIONS = frozenset({RY, RZ, PHASEDX})
+_SELF_INVERSE = frozenset({X, CNOT})
 
 
 def _null_rotation(rec: tuple) -> bool:
-    kind, _, controls, params = rec
-    if kind not in _ROTATIONS:
-        return False
-    period = 4 * math.pi if controls and kind not in (G2, G4) else 2 * math.pi
-    return abs(math.remainder(float(params[0]), period)) < _NULL_EPS
+    kind, _, _, params = rec
+    return kind in _ROTATIONS and abs(math.remainder(float(params[0]), 2 * math.pi)) < _NULL_EPS
 
 
 def _merged(prev: tuple, rec: tuple) -> tuple | None:
     kind, targets, controls, params = rec
-    if prev[0] != kind or prev[1] != targets or prev[2] != controls:
+    if prev[0] != kind or prev[1] != targets:
         return None
-    if kind in (RY, RZ, G2, G4):
+    if kind in (RY, RZ):
         return (kind, targets, controls, (float(prev[3][0]) + float(params[0]),))
     if kind == PHASEDX and prev[3][1] == params[1]:
         return (kind, targets, controls, (float(prev[3][0]) + float(params[0]), prev[3][1]))
@@ -638,24 +624,21 @@ def _merged(prev: tuple, rec: tuple) -> tuple | None:
 
 def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool]:
     out: list[tuple | None] = []
-    out_wires: list[tuple[int, ...]] = []
     last_on_wire: dict[int, int] = {}
     changed = False
     for rec in recs:
         if _null_rotation(rec):
             changed = True
             continue
-        kind, targets, controls, _ = rec
-        wires = _wires(targets, controls)
+        kind, wires, _, _ = rec
         if len(wires) == 1:
             prev_idx = last_on_wire.get(wires[0], -1)
         else:
             prev_idx = max(last_on_wire.get(q, -1) for q in wires)
         prev = out[prev_idx] if prev_idx >= 0 else None
         if prev is not None:
-            prev_wires = out_wires[prev_idx]
-            if prev_wires == wires or set(prev_wires) == set(wires):
-                if kind in _SELF_INVERSE and prev[:3] == rec[:3]:
+            if prev[1] == wires or set(prev[1]) == set(wires):
+                if kind in _SELF_INVERSE and prev[:2] == rec[:2]:
                     out[prev_idx] = None
                     changed = True
                     continue
@@ -666,7 +649,6 @@ def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool]:
                     continue
         idx = len(out)
         out.append(rec)
-        out_wires.append(wires)
         for q in wires:
             last_on_wire[q] = idx
     return [rec for rec in out if rec is not None], changed
@@ -681,15 +663,15 @@ def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> tuple[list[tuple], bo
     """
     runs: dict[int, list[int]] = {}
     finished: list[list[int]] = []
-    for idx, (_, targets, controls, _) in enumerate(recs):
-        if len(targets) == 1 and not controls:
-            run = runs.get(targets[0])
+    for idx, (_, wires, _, _) in enumerate(recs):
+        if len(wires) == 1:
+            run = runs.get(wires[0])
             if run is None:
-                runs[targets[0]] = [idx]
+                runs[wires[0]] = [idx]
             else:
                 run.append(idx)
         else:
-            for q in _wires(targets, controls):
+            for q in wires:
                 if q in runs:
                     finished.append(runs.pop(q))
     finished.extend(runs.values())

@@ -12,7 +12,7 @@ import sys
 
 from . import algorithms, fileio
 from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
-from .configs import StateSpec, cisd_excitations, hartree_fock_config
+from .configs import cisd_excitations, hartree_fock_config
 from .paulis import PauliSum
 from .simulator import (
     MAX_DENSE_EIGEN_QUBITS, StateVector, exact_spectrum, fidelity_up_to_phase, moments, run_circuit,
@@ -47,7 +47,10 @@ def _counts_dict(c: Circuit) -> dict:
     }
 
 
-def _synth_one(spec: StateSpec, method: str, gateset_name: str) -> tuple[dict, Circuit, bool]:
+def _synth_one(spec_path: str, method: str, gateset_name: str, out: str | None) -> dict:
+    """Report of one spec file's circuit; the circuit is written to `out` only
+    if it passed self-verification."""
+    spec = fileio.parse_state_spec(_read(spec_path))
     raw = algorithms.synthesize(spec, method)
     emitted = raw if gateset_name == "none" else compile_circuit(raw, gateset_by_name(gateset_name))
     fidelity = fidelity_up_to_phase(run_circuit(emitted), StateVector.from_spec(spec))
@@ -60,8 +63,12 @@ def _synth_one(spec: StateSpec, method: str, gateset_name: str) -> tuple[dict, C
         "fidelity": fidelity,
         "verified": ok,
         "resources": _counts_dict(emitted),
+        "spec": spec_path,
     }
-    return body, emitted, ok
+    if out and ok:
+        pathlib.Path(out).write_text(fileio.circuit_to_json(emitted))
+        body["circuit_file"] = out
+    return body
 
 
 def _cmd_synth(args) -> int:
@@ -69,32 +76,19 @@ def _cmd_synth(args) -> int:
         paths = sorted(p for p in pathlib.Path(args.spec_dir).iterdir() if p.is_file())
         if not paths:
             raise ValueError(f"no spec files in {args.spec_dir}")
-        results = []
-        all_ok = True
         out_dir = pathlib.Path(args.out) if args.out else None
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
+        results = []
         for path in paths:
-            spec = fileio.parse_state_spec(path.read_text())
-            body, circuit, ok = _synth_one(spec, args.method, args.gateset)
-            body["spec"] = str(path)
-            if out_dir and ok:
-                target = out_dir / (path.stem + ".circuit.json")
-                target.write_text(fileio.circuit_to_json(circuit))
-                body["circuit_file"] = str(target)
-            results.append(body)
-            all_ok = all_ok and ok
+            out = str(out_dir / (path.stem + ".circuit.json")) if out_dir else None
+            results.append(_synth_one(str(path), args.method, args.gateset, out))
+        all_ok = all(body["verified"] for body in results)
         _emit("synth", {"verified": all_ok, "results": results})
         return 0 if all_ok else 1
-    spec = fileio.parse_state_spec(_read(args.spec))
-    body, circuit, ok = _synth_one(spec, args.method, args.gateset)
-    body["spec"] = args.spec
-    # Artifacts are only written for circuits that passed self-verification.
-    if args.out and ok:
-        pathlib.Path(args.out).write_text(fileio.circuit_to_json(circuit))
-        body["circuit_file"] = args.out
+    body = _synth_one(args.spec, args.method, args.gateset, args.out)
     _emit("synth", body)
-    return 0 if ok else 1
+    return 0 if body["verified"] else 1
 
 
 def _cmd_verify(args) -> int:
@@ -140,10 +134,13 @@ def _cmd_resources(args) -> int:
     return 0
 
 
-def _maybe_exact_ground(h: PauliSum) -> float | None:
-    if h.n_qubits > MAX_DENSE_EIGEN_QUBITS:
-        return None
-    return float(exact_spectrum(h).values[0])
+def _add_exact_ground(body: dict, h: PauliSum, energy: float) -> None:
+    """Add the exact ground energy and the error of `energy` against it,
+    where the register is small enough for the dense eigensolve."""
+    if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
+        exact = float(exact_spectrum(h)[0])
+        body["exact_ground"] = exact
+        body["error_vs_exact"] = energy - exact
 
 
 def _cmd_vqe(args) -> int:
@@ -161,10 +158,7 @@ def _cmd_vqe(args) -> int:
         "restarts_used": result.restarts_used,
         "stop_reason": result.stop_reason,
     }
-    exact = _maybe_exact_ground(h)
-    if exact is not None:
-        body["exact_ground"] = exact
-        body["error_vs_exact"] = result.energy - exact
+    _add_exact_ground(body, h, result.energy)
     _emit("vqe", body)
     return 0
 
@@ -219,10 +213,7 @@ def _cmd_qcels(args) -> int:
         "samples": args.samples,
         "estimate": estimate,
     }
-    exact = _maybe_exact_ground(h)
-    if exact is not None:
-        body["exact_ground"] = exact
-        body["error_vs_exact"] = estimate - exact
+    _add_exact_ground(body, h, estimate)
     _emit("qcels", body)
     return 0
 
@@ -271,7 +262,7 @@ def _cmd_spectrum(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     h = fileio.parse_hamiltonian(_read(args.hamiltonian))
-    values = exact_spectrum(h).values
+    values = exact_spectrum(h)
     count = min(args.count, values.size)
     _emit(
         "spectrum",

@@ -155,6 +155,8 @@ def apply_excitation(op: ExcitationOp, x: OnConfig) -> tuple[OnConfig, int] | No
 
 def hartree_fock_config(n_orb: int, n_elec: int) -> OnConfig:
     """Closed-shell reference occupying the lowest n_elec / 2 spatial orbitals."""
+    if n_orb < 1:
+        raise ValueError(f"orbital count must be at least 1, got {n_orb}")
     if n_elec < 0:
         raise ValueError(f"electron count must not be negative, got {n_elec}")
     if n_elec % 2:

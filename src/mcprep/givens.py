@@ -9,11 +9,12 @@ from the reference onto x_e:
   only where an earlier configuration would co-rotate; each control sits on
   the lowest admissible qubit where that configuration deviates, with the
   reference's bit value as the control state.
-- distance above 4: a gadget of controlled transpositions walks the reference
-  down to distance 2, a controlled two-wire rotation splits the amplitude, and
-  the transpositions run again in reverse. Transposition controls sit on every
-  minority-occupation qubit outside the swapped pair so that each step moves
-  exactly the walked reference image and, when an earlier configuration
+- distance above 4: controlled transpositions walk the reference down to
+  distance 2, a controlled two-wire rotation splits the amplitude, and the
+  transpositions run again in reverse. The planned rotation is that central
+  rotation with the walk attached as its swaps. Transposition controls sit on
+  every minority-occupation qubit outside the swapped pair so that each step
+  moves exactly the walked reference image and, when an earlier configuration
   coincides with that image, trades the two; the central rotation therefore
   takes its disturbance controls from the earlier configurations' images
   under the walk rather than from their original patterns.
@@ -52,26 +53,17 @@ class ControlledSwapStep:
 
 
 @dataclasses.dataclass(frozen=True)
-class SwapGadget:
-    """Walk, rotate, walk back: realizes a rotation between patterns more
-    than four flips apart."""
-
-    swaps: tuple[ControlledSwapStep, ...]
-    targets: tuple[int, int]
-    controls: tuple[tuple[int, int], ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class PlannedRotation:
-    """One amplitude-moving rotation; gadget is set when distance exceeds 4."""
+    """One amplitude-moving rotation on two or four targets under controls.
+
+    Past four flips, swaps holds the controlled transpositions of the walk:
+    they run before the rotation and again, reversed, after it, and targets
+    and controls belong to the central rotation between the walked images.
+    """
 
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...]
-    gadget: SwapGadget | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.targets) if self.gadget is None else len(self.gadget.targets)
+    swaps: tuple[ControlledSwapStep, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,8 +126,8 @@ def _swap_image(pattern: OnConfig, step: ControlledSwapStep) -> OnConfig:
 
 def _plan_high_order(
     reference: OnConfig, target: OnConfig, previous: tuple[OnConfig, ...]
-) -> SwapGadget:
-    """Gadget construction for a pattern pair more than four flips apart.
+) -> PlannedRotation:
+    """Walk and central rotation for a pattern pair more than four flips apart.
 
     Because every transposition is controlled on all minority-occupation
     qubits outside its pair, it exchanges exactly the current walked image
@@ -163,7 +155,7 @@ def _plan_high_order(
     # against each earlier configuration's image under the walk.
     images = tuple(functools.reduce(_swap_image, swaps, x_p) for x_p in previous)
     central = _plan_direct(walked, target, images, targets)
-    return SwapGadget(tuple(swaps), targets, central.controls)
+    return dataclasses.replace(central, swaps=tuple(swaps))
 
 
 def plan_rotations(configs) -> RotationPlan:
@@ -190,8 +182,7 @@ def plan_rotations(configs) -> RotationPlan:
             targets = _ordered_targets(reference, support)
             rotations.append(_plan_direct(reference, x_e, previous, targets))
         else:
-            gadget = _plan_high_order(reference, x_e, previous)
-            rotations.append(PlannedRotation(gadget.targets, gadget.controls, gadget))
+            rotations.append(_plan_high_order(reference, x_e, previous))
     return RotationPlan(reference.n_qubits, configs, tuple(rotations))
 
 
@@ -222,14 +213,9 @@ def angles_from_coefficients(coefficients) -> list[float]:
 
 
 def _rotation_gates(rot: PlannedRotation, angle) -> list[Gate]:
-    if rot.gadget is None:
-        if len(rot.targets) == 2:
-            return [g2_gate(*rot.targets, angle, rot.controls)]
-        return [g4_gate(*rot.targets, angle, rot.controls)]
-    gadget = rot.gadget
-    walk = [swap_gate(*step.pair, step.controls) for step in gadget.swaps]
-    core = g2_gate(*gadget.targets, angle, gadget.controls)
-    return walk + [core] + list(reversed(walk))
+    walk = [swap_gate(*step.pair, step.controls) for step in rot.swaps]
+    rotate = g2_gate if len(rot.targets) == 2 else g4_gate
+    return walk + [rotate(*rot.targets, angle, rot.controls)] + walk[::-1]
 
 
 def synthesize_gr(

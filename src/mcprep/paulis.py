@@ -227,11 +227,3 @@ class PauliSum:
         values.flags.writeable = False
         vectors.flags.writeable = False
         return values, vectors
-
-
-def expectation_of_sum(h: PauliSum, amps: np.ndarray) -> float:
-    """<psi|H|psi> for a normalized state; the imaginary residue must be tiny."""
-    value = complex(np.vdot(amps, h.apply(amps)))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation has imaginary residue {value.imag}")
-    return value.real

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuits import G2, G4, RY, Circuit, Gate, gate_matrix
 from .configs import OnConfig, StateSpec
-from .paulis import PauliSum, expectation_of_sum
+from .paulis import PauliSum
 
 MAX_SIM_QUBITS = 16
 MAX_UNITARY_QUBITS = 12
@@ -109,7 +109,7 @@ def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets, controls) ->
 
 def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
     """Apply one gate in place to a C-contiguous (dim,) or (dim, batch) array."""
-    return _apply_matrix(amps, n, gate_matrix(g.kind, g.numeric_params()), g.targets, g.controls)
+    return _apply_matrix(amps, n, gate_matrix(g.kind, g.params), g.targets, g.controls)
 
 
 def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -203,7 +203,12 @@ def fidelity_up_to_phase(a, b) -> float:
 
 
 def expectation(state, h: PauliSum) -> float:
-    return expectation_of_sum(h, _as_amps(state))
+    """<psi|H|psi> for a normalized state; the imaginary residue must be tiny."""
+    amps = _as_amps(state)
+    value = complex(np.vdot(amps, h.apply(amps)))
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        raise ValueError(f"expectation has imaginary residue {value.imag}")
+    return value.real
 
 
 def moments(state, h: PauliSum, m_max: int) -> list[float]:
@@ -251,11 +256,11 @@ class Spectrum:
     vectors: np.ndarray | None = None
 
 
-def exact_spectrum(h: PauliSum, with_vectors: bool = False) -> Spectrum:
+def exact_spectrum(h: PauliSum) -> np.ndarray:
+    """Ascending eigenvalues of the operator, read-only."""
     if h.n_qubits > MAX_SPECTRUM_QUBITS:
         raise ValueError(f"{h.n_qubits} qubits exceeds spectrum budget {MAX_SPECTRUM_QUBITS}")
-    values, vectors = h.eigensystem
-    return Spectrum(values, vectors if with_vectors else None)
+    return h.eigensystem[0]
 
 
 def subspace_matrix(h: PauliSum, configs) -> np.ndarray:

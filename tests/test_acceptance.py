@@ -298,11 +298,11 @@ def test_05_templates_match_analytic_unitaries(capsys):
             theta = float(rng.uniform(0.2, 1.3))
             spec = validate_spec([(math.cos(theta), "111000"), (math.sin(theta), "000111")])
             rot = plan_rotations(spec.configs).rotations[0]
-            assert rot.gadget is not None
+            assert rot.swaps
             angle = angles_from_coefficients(spec.coefficients)[0]
-            stages = [("swap", step.pair, step.controls) for step in rot.gadget.swaps]
-            stages += [("g2", rot.gadget.targets, rot.gadget.controls, angle)]
-            stages += [("swap", step.pair, step.controls) for step in reversed(rot.gadget.swaps)]
+            stages = [("swap", step.pair, step.controls) for step in rot.swaps]
+            stages += [("g2", rot.targets, rot.controls, angle)]
+            stages += [("swap", step.pair, step.controls) for step in reversed(rot.swaps)]
             oracle = stage_product(6, stages)
             circuit = synthesize_gr(spec, include_reference_prep=False)
             check(circuit, oracle)

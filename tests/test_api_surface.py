@@ -1,0 +1,93 @@
+"""Public API reached only by tests is deleted, not kept.
+
+Every public module-level function or class of the package must be named
+somewhere in ``src/`` besides its own definition, or be listed below with the
+reason it stays.
+"""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mcprep"
+
+REASONS = {"oracle", "fixture", "test hook", "leaves"}
+
+# name -> why it stays public; "leaves" means perfbench/tracing.LEAVES pins it.
+ALLOWED = {
+    "simulator.circuit_unitary": "oracle",
+    "simulator.subspace_diag": "oracle",
+    "configs.generate_cisd_configs": "fixture",
+    "circuits.decompose_gate": "test hook",
+    "circuits.gate": "leaves",
+    "circuits.rz_gate": "leaves",
+    "circuits.phasedx_gate": "leaves",
+    "circuits.zzmax_gate": "leaves",
+    "circuits.control_wrap": "leaves",
+    "paulis.word_multiply": "leaves",
+    "paulis.apply_word": "leaves",
+    "ssp.merge_angle": "leaves",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(trees) -> dict[str, ast.AST]:
+    """Public module-level functions and classes, keyed module.name."""
+    return {
+        f"{module}.{node.name}": node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _mentions(trees) -> dict[str, int]:
+    """How often each identifier is named in the package, as a name, an
+    attribute or an imported alias."""
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _leaves() -> set[str]:
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LEAVES" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value.args[0]))
+    raise AssertionError("perfbench/tracing.py defines no LEAVES")
+
+
+def _unreferenced() -> set[str]:
+    trees = _trees()
+    mentions = _mentions(trees)
+    return {key for key in _definitions(trees) if mentions.get(key.split(".")[1], 0) == 0}
+
+
+def test_every_public_name_is_used_in_src_or_allowed():
+    unexplained = sorted(_unreferenced() - ALLOWED.keys())
+    assert not unexplained, f"public names that nothing in src/ uses: {unexplained}"
+
+
+def test_allowlist_is_current_and_each_reason_holds():
+    assert set(ALLOWED.values()) <= REASONS
+    defined = _definitions(_trees())
+    assert ALLOWED.keys() <= defined.keys(), sorted(ALLOWED.keys() - defined.keys())
+    stale = sorted(ALLOWED.keys() - _unreferenced())
+    assert not stale, f"allowed names that src/ now uses; drop them from ALLOWED: {stale}"
+    leaves = _leaves()
+    for key, reason in ALLOWED.items():
+        assert (key in leaves) == (reason == "leaves"), key

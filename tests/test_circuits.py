@@ -48,7 +48,7 @@ def embed_gate(g: Gate, n: int) -> np.ndarray:
     Qubit 0 is the most significant bit. Independent of the simulator's
     gate kernel, so the two can check each other.
     """
-    base = gate_matrix(g.kind, g.numeric_params())
+    base = gate_matrix(g.kind, g.params)
     dim = 1 << n
     full = np.zeros((dim, dim), dtype=complex)
     k = len(g.targets)
@@ -293,6 +293,8 @@ def test_controlled_templates_match_analytic_unitaries(gateset_name):
     for g in cases:
         n = max(g.wires) + 1
         body = Circuit(n, tuple(decompose_gate(g, gs)))
+        # The simplifier relies on expansion emitting only these.
+        assert all(not h.controls and h.kind in gs.kinds for h in body.gates), g.kind
         assert max_phase_deviation(circuit_unitary(body), embed_gate(g, n)) < 1e-10, g.kind
 
 

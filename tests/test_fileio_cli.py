@@ -549,18 +549,21 @@ def test_cli_sceom_rejects_width_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "electrons, message",
+    "orbitals, electrons, message",
     [
-        ("-2", "electron count must not be negative, got -2"),
-        ("0", "reference 0000 admits no excitation, so the excitation matrix is empty"),
-        ("4", "reference 1111 admits no excitation, so the excitation matrix is empty"),
+        ("2", "-2", "electron count must not be negative, got -2"),
+        ("2", "0", "reference 0000 admits no excitation, so the excitation matrix is empty"),
+        ("2", "4", "reference 1111 admits no excitation, so the excitation matrix is empty"),
+        ("0", "0", "orbital count must be at least 1, got 0"),
+        ("-1", "0", "orbital count must be at least 1, got -1"),
     ],
 )
-def test_cli_sceom_rejects_reference_without_excitations(tmp_path, capsys, electrons, message):
+def test_cli_sceom_rejects_reference_without_excitations(
+    tmp_path, capsys, orbitals, electrons, message
+):
     ham_path = write(tmp_path, "h.txt", HAM_TEXT)
-    code, report, err = run_cli(
-        capsys, ["sceom", "--hamiltonian", ham_path, "--orbitals", "2", "--electrons", electrons]
-    )
+    argv = ["sceom", "--hamiltonian", ham_path, "--orbitals", orbitals, "--electrons", electrons]
+    code, report, err = run_cli(capsys, argv)
     assert code == 1
     assert report is None
     assert err == f"error: {message}\n"
@@ -571,7 +574,7 @@ def test_cli_spectrum(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["spectrum", "--hamiltonian", ham_path, "--count", "3"])
     assert code == 0
     assert len(report["lowest"]) == 3
-    exact = exact_spectrum(fileio.parse_hamiltonian(HAM_TEXT)).values[:3]
+    exact = exact_spectrum(fileio.parse_hamiltonian(HAM_TEXT))[:3]
     assert np.allclose(report["lowest"], exact, atol=1e-12)
 
 

@@ -62,7 +62,7 @@ def test_plan_controls_appear_only_for_disturbed_predecessors():
     )
     plan = plan_rotations(spec.configs)
     assert [rot.controls for rot in plan.rotations] == [(), ((1, 1),), ()]
-    assert [rot.order for rot in plan.rotations] == [2, 2, 4]
+    assert [len(rot.targets) for rot in plan.rotations] == [2, 2, 4]
 
 
 def test_plan_rejects_malformed_inputs():
@@ -79,12 +79,11 @@ def test_plan_rejects_malformed_inputs():
 def test_plan_uses_gadget_beyond_four_flips():
     plan = plan_rotations(["111000", "000111"])
     rot = plan.rotations[0]
-    assert rot.gadget is not None
-    assert rot.order == 2
+    assert len(rot.targets) == 2
     # Distance six needs exactly two controlled transpositions before the
     # central rotation.
-    assert len(rot.gadget.swaps) == 2
-    assert all(step.controls for step in rot.gadget.swaps)
+    assert len(rot.swaps) == 2
+    assert all(step.controls for step in rot.swaps)
 
 
 # --- angle recursion -------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_distant_configurations_go_through_swap_walk():
         [(0.8, "111000"), (0.36, "000111"), (0.48, "101010")]
     )
     plan = plan_rotations(spec.configs)
-    assert plan.rotations[0].gadget is not None
+    assert plan.rotations[0].swaps
     out = run_circuit(synthesize_gr(spec))
     assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-12
     kinds = {g.kind for g in synthesize_gr(spec).gates}
@@ -198,7 +197,7 @@ def test_gadget_swaps_restore_bystander_configurations():
     rng = np.random.default_rng(53)
     for _ in range(20):
         spec = random_equal_weight_spec(rng, 8, 6)
-        if all(rot.gadget is None for rot in plan_rotations(spec.configs).rotations):
+        if not any(rot.swaps for rot in plan_rotations(spec.configs).rotations):
             continue
         out = run_circuit(synthesize_gr(spec))
         assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-9

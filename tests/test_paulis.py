@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mcprep.paulis import PauliSum, PauliWord, apply_word, expectation_of_sum, word_multiply
+from mcprep.paulis import PauliSum, PauliWord, apply_word, word_multiply
+from mcprep.simulator import expectation
 
 _DENSE = {
     "I": np.eye(2, dtype=complex),
@@ -177,4 +178,4 @@ def test_expectation_matches_quadratic_form():
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         amps /= np.linalg.norm(amps)
         direct = np.vdot(amps, h.matrix() @ amps)
-        assert expectation_of_sum(h, amps) == pytest.approx(direct.real, abs=1e-11)
+        assert expectation(amps, h) == pytest.approx(direct.real, abs=1e-11)

@@ -310,11 +310,9 @@ def test_evolve_register_mismatch():
 def test_exact_spectrum_matches_eigvalsh():
     rng = np.random.default_rng(38)
     h = random_sum(rng, 4, 7)
-    spec = exact_spectrum(h)
-    assert np.allclose(spec.values, np.linalg.eigvalsh(h.matrix()), atol=1e-12)
-    assert spec.vectors is None
-    with_vec = exact_spectrum(h, with_vectors=True)
-    recon = with_vec.vectors @ np.diag(with_vec.values) @ with_vec.vectors.conj().T
+    assert np.allclose(exact_spectrum(h), np.linalg.eigvalsh(h.matrix()), atol=1e-12)
+    values, vectors = h.eigensystem
+    recon = vectors @ np.diag(values) @ vectors.conj().T
     assert np.allclose(recon, h.matrix(), atol=1e-10)
 
 
@@ -335,7 +333,7 @@ def test_subspace_diag_full_basis_recovers_spectrum():
     h = random_sum(rng, 3, 5)
     configs = [OnConfig.from_string(format(i, "03b")) for i in range(8)]
     sub = subspace_diag(h, configs)
-    assert np.allclose(sub.values, exact_spectrum(h).values, atol=1e-10)
+    assert np.allclose(sub.values, exact_spectrum(h), atol=1e-10)
     with pytest.raises(ValueError):
         subspace_matrix(h, configs + [configs[0]])
 
@@ -344,7 +342,7 @@ def test_subspace_diag_interlaces_full_spectrum():
     # Eigenvalues of a principal submatrix sit inside the full spectral range.
     rng = np.random.default_rng(41)
     h = random_sum(rng, 4, 8)
-    full = exact_spectrum(h).values
+    full = exact_spectrum(h)
     configs = [OnConfig.from_string(s) for s in ("0011", "0101", "1001", "0110")]
     sub = subspace_diag(h, configs).values
     assert sub[0] >= full[0] - 1e-12
