@@ -9,12 +9,11 @@ import math
 import numpy as np
 
 from .circuits import Circuit, bind_parameters, compile_circuit, count_resources, gateset_by_name
-from .configs import ExcitationOp, OnConfig, StateSpec, apply_excitation, hamming, validate_spec
+from .configs import OnConfig, StateSpec, apply_excitation, hamming, validate_spec
 from .givens import synthesize_gr
 from .paulis import PauliSum
 from .simulator import (
     MAX_DENSE_EIGEN_QUBITS,
-    StateVector,
     energy_gradient,
     evolve,
     expectation,
@@ -280,7 +279,7 @@ def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
 class VqeResult:
     energy: float
     parameters: dict[str, float]
-    state: StateVector
+    state: np.ndarray
     restarts_used: int
     stop_reason: str
 
@@ -377,31 +376,25 @@ def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
         raise TauTooLarge(f"step {tau} aliases spectral range {spread:.6g}")
 
 
-def qcels_series(state, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
+def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
     """Sample the autocorrelation of a state under centered time evolution."""
     _validate_series_args(h, tau, n_samples)
     shift = h.identity_coefficient
-    amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
     n = np.arange(n_samples)
 
     if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
         values, vectors = h.eigensystem
-        weights = np.abs(vectors.conj().T @ amps) ** 2
+        weights = np.abs(vectors.conj().T @ state) ** 2
         z = (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
     else:
         z = np.empty(n_samples, dtype=complex)
-        current = StateVector(amps.copy(), h.n_qubits)
+        current = state
         z[0] = 1.0
         for i in range(1, n_samples):
             current = evolve(current, h, tau)
-            z[i] = np.vdot(amps, current.amps)
+            z[i] = np.vdot(state, current)
     # Evolving under h rather than h - shift only adds the phase exp(-i shift tau n).
     return QcelsSeries(tau, z * np.exp(1j * shift * tau * n), shift)
-
-
-def _qcels_objective(series: QcelsSeries, energy: float) -> float:
-    n = np.arange(series.values.size)
-    return float(abs(np.sum(series.values * np.exp(1j * n * series.tau * energy))) ** 2)
 
 
 def _qcels_slope(series: QcelsSeries, energy: float) -> float:
@@ -429,6 +422,8 @@ def qcels_estimate(series: QcelsSeries) -> float:
     then pinned as the zero crossing of the objective's derivative. Bisecting
     the signed derivative sidesteps the flat top the squared modulus has in
     double precision, which would cap a direct maximization near 1e-9.
+    Raises ValueError when the derivative does not change sign across the
+    two grid steps around the peak, as on a flat objective.
     """
     tau = series.tau
     scores = _qcels_grid_scores(series)
@@ -437,33 +432,20 @@ def qcels_estimate(series: QcelsSeries) -> float:
     step = grid[1] - grid[0]
     a, b = grid[peak] - step, grid[peak] + step
 
-    if _qcels_slope(series, a) > 0 > _qcels_slope(series, b):
-        for _ in range(_QCELS_BISECTIONS):
-            mid = 0.5 * (a + b)
-            if _qcels_slope(series, mid) > 0:
-                a = mid
-            else:
-                b = mid
-            if b - a < _QCELS_BRACKET_TOL:
-                break
-        return 0.5 * (a + b) + series.shift
-
-    # No clean sign change (degenerate or very short series): fall back to
-    # golden-section on the objective itself.
-    ratio = (math.sqrt(5) - 1) / 2
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = _qcels_objective(series, x1), _qcels_objective(series, x2)
-    while b - a > 1e-10:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = _qcels_objective(series, x2)
+    if not _qcels_slope(series, a) > 0 > _qcels_slope(series, b):
+        raise ValueError(
+            f"QCELS objective has no peak near {grid[peak] + series.shift:.6g}: "
+            "its slope does not change sign there"
+        )
+    for _ in range(_QCELS_BISECTIONS):
+        mid = 0.5 * (a + b)
+        if _qcels_slope(series, mid) > 0:
+            a = mid
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = _qcels_objective(series, x1)
-    return (a + b) / 2 + series.shift
+            b = mid
+        if b - a < _QCELS_BRACKET_TOL:
+            break
+    return 0.5 * (a + b) + series.shift
 
 
 # --- equation-of-motion excited states ---------------------------------------
@@ -475,7 +457,6 @@ class MMatrix:
 
     values: np.ndarray
     ground_energy: float
-    excitations: tuple[ExcitationOp, ...]
 
 
 def _excited_configs(hf: OnConfig, excitations) -> tuple[list[OnConfig], list[int]]:
@@ -539,12 +520,11 @@ def sceom_m_matrix(
         for j in range(i + 1, size):
             pair_energy = energy(_pair_spec(configs, signs, i, j)) - e_ground
             m[i, j] = m[j, i] = pair_energy - diag[i] / 2 - diag[j] / 2
-    return MMatrix(m, e_ground, excitations)
+    return MMatrix(m, e_ground)
 
 
-def sceom_energies(m: MMatrix | np.ndarray) -> np.ndarray:
+def sceom_energies(values: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the excitation matrix."""
-    values = m.values if isinstance(m, MMatrix) else np.asarray(m, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {values.shape}")
     if np.max(np.abs(values - values.T)) > SYMMETRY_TOLERANCE:

@@ -590,10 +590,10 @@ def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
     A test hook, not a program path: compile_circuit also simplifies, so the
     tests check each template alone, before simplification, through this.
     """
-    if g.kind in gateset.kinds and not g.controls:
-        return [g]
     if g.symbols:
         raise UnboundParameterError(f"unbound parameters {g.symbols} on {g.kind}")
+    if g.kind in gateset.kinds and not g.controls:
+        return [g]
     return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset, {})]
 
 

@@ -15,7 +15,7 @@ from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
 from .configs import cisd_excitations, hartree_fock_config
 from .paulis import PauliSum
 from .simulator import (
-    MAX_DENSE_EIGEN_QUBITS, StateVector, exact_spectrum, fidelity_up_to_phase, moments, run_circuit,
+    MAX_DENSE_EIGEN_QUBITS, exact_spectrum, fidelity_up_to_phase, moments, run_circuit, spec_state,
 )
 
 REPORT_SCHEMA = "mcprep/1"
@@ -53,7 +53,7 @@ def _synth_one(spec_path: str, method: str, gateset_name: str, out: str | None) 
     spec = fileio.parse_state_spec(_read(spec_path))
     raw = algorithms.synthesize(spec, method)
     emitted = raw if gateset_name == "none" else compile_circuit(raw, gateset_by_name(gateset_name))
-    fidelity = fidelity_up_to_phase(run_circuit(emitted), StateVector.from_spec(spec))
+    fidelity = fidelity_up_to_phase(run_circuit(emitted), spec_state(spec))
     ok = fidelity >= 1 - SYNTH_FIDELITY
     body = {
         "method": method,
@@ -98,7 +98,7 @@ def _cmd_verify(args) -> int:
     circuit = fileio.circuit_from_json(_read(args.circuit))
     if circuit.parameters:
         raise fileio.ParseError(f"circuit has unbound parameters {list(circuit.parameters)}")
-    fidelity = fidelity_up_to_phase(run_circuit(circuit), StateVector.from_spec(spec))
+    fidelity = fidelity_up_to_phase(run_circuit(circuit), spec_state(spec))
     ok = fidelity >= 1 - args.tolerance
     _emit(
         "verify",
@@ -233,7 +233,7 @@ def _cmd_sceom(args) -> int:
     else:
         ansatz = Circuit(h.n_qubits, ())
     m = algorithms.sceom_m_matrix(h, hf, excitations, ansatz, prep_method=args.prep)
-    energies = algorithms.sceom_energies(m)
+    energies = algorithms.sceom_energies(m.values)
     body = {
         "hamiltonian": args.hamiltonian,
         "reference": str(hf),

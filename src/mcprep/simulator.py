@@ -20,59 +20,33 @@ matrices are blocks of the operator sum's own kernel.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
 
 from .circuits import G2, G4, RY, Circuit, Gate, gate_matrix
-from .configs import OnConfig, StateSpec
+from .configs import StateSpec
 from .paulis import PauliSum
 
 MAX_SIM_QUBITS = 16
 MAX_UNITARY_QUBITS = 12
-MAX_DENSE_EIGEN_QUBITS = 10  # evolve, QCELS and exact references read h.eigensystem up to here
+MAX_DENSE_EIGEN_QUBITS = 10  # QCELS and exact references read h.eigensystem up to here
 MAX_SPECTRUM_QUBITS = 14
 MAX_MOMENT_ORDER = 8
 
 
-@dataclasses.dataclass
-class StateVector:
-    """Normalized complex amplitudes over 2**n_qubits basis states."""
+def spec_state(spec: StateSpec) -> np.ndarray:
+    """The amplitudes of a spec as a complex (2**n,) array."""
+    amps = np.zeros(1 << spec.n_q, dtype=complex)
+    for coeff, config in spec.entries:
+        amps[config.index] = coeff
+    return amps
 
-    amps: np.ndarray
-    n_qubits: int
 
-    def __post_init__(self) -> None:
-        dim = 1 << self.n_qubits
-        if self.amps.shape != (dim,):
-            raise ValueError(f"expected {dim} amplitudes, got shape {self.amps.shape}")
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> StateVector:
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps, n_qubits)
-
-    @classmethod
-    def basis_state(cls, config: OnConfig) -> StateVector:
-        amps = np.zeros(1 << config.n_qubits, dtype=complex)
-        amps[config.index] = 1.0
-        return cls(amps, config.n_qubits)
-
-    @classmethod
-    def from_spec(cls, spec: StateSpec) -> StateVector:
-        amps = np.zeros(1 << spec.n_q, dtype=complex)
-        for coeff, config in spec.entries:
-            amps[config.index] = coeff
-        return cls(amps, spec.n_q)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> StateVector:
-        return StateVector(self.amps.copy(), self.n_qubits)
+def _zero_state(n: int) -> np.ndarray:
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return amps
 
 
 @functools.cache
@@ -112,20 +86,21 @@ def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
     return _apply_matrix(amps, n, gate_matrix(g.kind, g.params), g.targets, g.controls)
 
 
-def run_circuit(c: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply a fully bound circuit to an input state (default all zeros)."""
+def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """Apply a fully bound circuit to a copy of an input state (default all
+    zeros)."""
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
     if c.parameters:
         raise ValueError(f"circuit has unbound parameters {c.parameters}")
     if initial is None:
-        state = StateVector.zero_state(c.n_qubits)
+        state = _zero_state(c.n_qubits)
     else:
-        if initial.n_qubits != c.n_qubits:
+        if initial.shape != (1 << c.n_qubits,):
             raise ValueError("input register size mismatch")
-        state = initial.copy()
+        state = initial.astype(complex)
     for g in c.gates:
-        _apply_gate(state.amps, c.n_qubits, g)
+        _apply_gate(state, c.n_qubits, g)
     return state
 
 
@@ -152,7 +127,7 @@ def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float,
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
     position = {name: k for k, name in enumerate(names)}
     n = c.n_qubits
-    psi = StateVector.zero_state(n).amps
+    psi = _zero_state(n)
     steps = []
     for g in c.gates:
         symbols = g.symbols
@@ -190,33 +165,26 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return mat
 
 
-def _as_amps(state) -> np.ndarray:
-    return state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
-
-
-def fidelity_up_to_phase(a, b) -> float:
+def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2, insensitive to global phase, for normalized states."""
-    va, vb = _as_amps(a), _as_amps(b)
-    if va.shape != vb.shape:
+    if a.shape != b.shape:
         raise ValueError("state dimension mismatch")
-    return float(abs(np.vdot(va, vb)) ** 2)
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
-def expectation(state, h: PauliSum) -> float:
+def expectation(state: np.ndarray, h: PauliSum) -> float:
     """<psi|H|psi> for a normalized state; the imaginary residue must be tiny."""
-    amps = _as_amps(state)
-    value = complex(np.vdot(amps, h.apply(amps)))
+    value = complex(np.vdot(state, h.apply(state)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary residue {value.imag}")
     return value.real
 
 
-def moments(state, h: PauliSum, m_max: int) -> list[float]:
+def moments(state: np.ndarray, h: PauliSum, m_max: int) -> list[float]:
     """<H^m> for m = 1..m_max via repeated application and inner products."""
     if not 1 <= m_max <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {m_max}")
-    amps = _as_amps(state)
-    powers = [amps]
+    powers = [state]
     for _ in range((m_max + 1) // 2):
         powers.append(h.apply(powers[-1]))
     out = []
@@ -228,32 +196,16 @@ def moments(state, h: PauliSum, m_max: int) -> list[float]:
     return out
 
 
-def evolve(state, h: PauliSum, t: float) -> StateVector:
-    """exp(-i H t) applied to the state; dense below MAX_DENSE_EIGEN_QUBITS,
-    sparse Krylov beyond."""
+def evolve(state: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
+    """exp(-i H t) applied to the state by sparse Krylov evolution."""
     n = h.n_qubits
-    amps = _as_amps(state)
-    if amps.shape != (1 << n,):
+    if state.shape != (1 << n,):
         raise ValueError("state does not match Hamiltonian register")
-    if n <= MAX_DENSE_EIGEN_QUBITS:
-        values, vectors = h.eigensystem
-        phases = np.exp(-1j * values * t)
-        out = vectors @ (phases * (vectors.conj().T @ amps))
-    elif n <= MAX_SPECTRUM_QUBITS:
-        from scipy.sparse.linalg import expm_multiply
-
-        out = expm_multiply(-1j * t * h.sparse_matrix(), amps)
-    else:
+    if n > MAX_SPECTRUM_QUBITS:
         raise ValueError(f"{n} qubits exceeds evolution budget {MAX_SPECTRUM_QUBITS}")
-    return StateVector(out, n)
+    from scipy.sparse.linalg import expm_multiply
 
-
-@dataclasses.dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues with optional eigenvectors (columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
+    return expm_multiply(-1j * t * h.sparse_matrix(), state)
 
 
 def exact_spectrum(h: PauliSum) -> np.ndarray:
@@ -271,12 +223,10 @@ def subspace_matrix(h: PauliSum, configs) -> np.ndarray:
     return h.block(indices)
 
 
-def subspace_diag(h: PauliSum, configs, with_vectors: bool = False) -> Spectrum:
-    """Eigenvalues of H restricted to the span of the given configurations."""
+def subspace_diag(h: PauliSum, configs) -> np.ndarray:
+    """Ascending eigenvalues of H restricted to the span of the given
+    configurations."""
     mat = subspace_matrix(h, configs)
     if not np.allclose(mat, mat.conj().T, atol=1e-12):
         raise ValueError("subspace matrix is not Hermitian")
-    if with_vectors:
-        values, vectors = np.linalg.eigh(mat)
-        return Spectrum(values, vectors)
-    return Spectrum(np.linalg.eigvalsh(mat))
+    return np.linalg.eigvalsh(mat)

@@ -41,11 +41,11 @@ from mcprep.configs import OnConfig, StateSpec, apply_excitation, cisd_excitatio
 from mcprep.givens import angles_from_coefficients, plan_rotations, synthesize_gr
 from mcprep.paulis import PauliSum
 from mcprep.simulator import (
-    StateVector,
     circuit_unitary,
     fidelity_up_to_phase,
     moments,
     run_circuit,
+    spec_state,
     subspace_diag,
 )
 from mcprep.ssp import synthesize_ssp
@@ -59,6 +59,7 @@ from tests.test_algorithms import (
 )
 from tests.test_circuits import max_phase_deviation
 from tests.test_givens import random_equal_weight_spec
+from tests.test_simulator import basis_state
 
 ZZ_SET = gateset_by_name("zz")
 CX_SET = gateset_by_name("cx")
@@ -101,12 +102,12 @@ def test_01_randomized_synthesis_exactness(capsys):
             n = int(rng.integers(2, 11))
             d = int(rng.integers(1, 9))
             spec = random_equal_weight_spec(rng, n, d)
-            target = StateVector.from_spec(spec)
+            target = spec_state(spec)
             support = np.zeros(1 << n, dtype=bool)
             for x in spec.configs:
                 support[x.index] = True
             for synth in (synthesize_gr, synthesize_ssp):
-                amps = run_circuit(synth(spec)).amps
+                amps = run_circuit(synth(spec))
                 assert fidelity_up_to_phase(amps, target) >= 1 - 1e-9
                 assert np.abs(amps[~support]).max() <= 1e-10
                 occupied = np.abs(amps) > 1e-10
@@ -123,7 +124,7 @@ def test_02_four_qubit_benchmark_counts_and_control(capsys):
     with criterion(capsys, 2, "4-qubit benchmark: compiled costs, one external control"):
         start = time.monotonic()
         spec = validate_spec(BENCH_4Q)
-        target = StateVector.from_spec(spec)
+        target = spec_state(spec)
 
         ssp = compile_circuit(synthesize_ssp(spec), ZZ_SET)
         assert fidelity_up_to_phase(run_circuit(ssp), target) >= 1 - 1e-9
@@ -166,7 +167,7 @@ def test_03_eight_qubit_benchmark_costs(capsys):
         start = time.monotonic()
         for coeffs, configs, gr_listed, ssp_listed in BENCH_8Q:
             spec = validate_spec(list(zip(coeffs, configs)))
-            target = StateVector.from_spec(spec)
+            target = spec_state(spec)
 
             ssp = compile_circuit(synthesize_ssp(spec), ZZ_SET)
             gr = compile_circuit(synthesize_gr(spec), ZZ_SET)
@@ -189,7 +190,7 @@ def test_04_two_configuration_and_double_rotation_costs(capsys):
         amp = 1 / math.sqrt(2)
         spec = validate_spec([(amp, "10110100"), (-amp, "01111000")])
         native = synthesize_ssp(spec)
-        assert fidelity_up_to_phase(run_circuit(native), StateVector.from_spec(spec)) >= 1 - 1e-9
+        assert fidelity_up_to_phase(run_circuit(native), spec_state(spec)) >= 1 - 1e-9
         assert two_qubit_count(native) == 3
         compiled = compile_circuit(native, ZZ_SET)
         assert abs(two_qubit_count(compiled) - 3) <= 1
@@ -432,7 +433,7 @@ def test_08_variational_ground_energy(capsys):
         spec = validate_spec([(0.5, x) for x in configs])
         for _ in range(50):
             h = number_conserving_hamiltonian(rng, 4)
-            exact = float(subspace_diag(h, configs).values[0])
+            exact = float(subspace_diag(h, configs)[0])
             energies = {}
             for method in ("gr", "ssp"):
                 result = vqe_minimize(h, spec, method)
@@ -450,23 +451,23 @@ def test_09_excited_state_matrix(capsys):
         hf = OnConfig.from_string("1100")
         while True:
             h = spin_conserving_hamiltonian(rng)
-            ansatz, spectrum = exact_ground_ansatz(h, hf)
+            ansatz, values = exact_ground_ansatz(h, hf)
             if ansatz is not None:
                 break
         excitations = cisd_excitations(hf)
-        expected = spectrum.values[1:] - spectrum.values[0]
+        expected = values[1:] - values[0]
 
         for prep in ("gr", "ssp"):
             m = sceom_m_matrix(h, hf, excitations, ansatz, prep_method=prep)
             assert np.max(np.abs(m.values - m.values.T)) < 1e-9
-            assert np.allclose(sceom_energies(m), expected, atol=1e-6)
+            assert np.allclose(sceom_energies(m.values), expected, atol=1e-6)
 
         m = sceom_m_matrix(h, hf, excitations, ansatz)
         dense = h.matrix()
         probes = []
-        for op in m.excitations:
+        for op in excitations:
             x, sign = apply_excitation(op, hf)
-            probes.append((sign, run_circuit(ansatz, StateVector.basis_state(x)).amps))
+            probes.append((sign, run_circuit(ansatz, basis_state(x))))
         for a in range(len(probes)):
             for b in range(a + 1, len(probes)):
                 sa, phi_a = probes[a]
@@ -500,16 +501,16 @@ def test_10_degenerate_inputs_and_cli_gating(capsys, tmp_path, monkeypatch):
             (0.0, OnConfig.from_string("1010")),
         )
         out = run_circuit(synthesize_gr(StateSpec(entries, 4)))
-        assert out.amps[OnConfig.from_string("1100").index] == 1.0 + 0.0j
-        assert np.count_nonzero(out.amps) == 1
+        assert out[OnConfig.from_string("1100").index] == 1.0 + 0.0j
+        assert np.count_nonzero(out) == 1
 
         rng = np.random.default_rng(10)
         base = random_equal_weight_spec(rng, 7, 6)
-        reference = run_circuit(synthesize_ssp(base)).amps
+        reference = run_circuit(synthesize_ssp(base))
         for _ in range(3):
             order = rng.permutation(base.size)
             shuffled = validate_spec([base.entries[k] for k in order])
-            amps = run_circuit(synthesize_ssp(shuffled)).amps
+            amps = run_circuit(synthesize_ssp(shuffled))
             assert np.max(np.abs(amps - reference)) < 1e-12
 
         spec_path = tmp_path / "state.txt"

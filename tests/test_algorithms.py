@@ -14,7 +14,6 @@ from mcprep.algorithms import (
     ZeroThirdCumulant,
     _bfgs,
     _qcels_grid_scores,
-    _qcels_objective,
     cmx2,
     cumulants,
     qcels_estimate,
@@ -39,7 +38,6 @@ from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
     MAX_DENSE_EIGEN_QUBITS,
-    StateVector,
     energy_gradient,
     exact_spectrum,
     expectation,
@@ -48,6 +46,8 @@ from mcprep.simulator import (
     subspace_diag,
     subspace_matrix,
 )
+
+from tests.test_simulator import basis_state
 
 
 def random_sum(rng, n: int, terms: int) -> PauliSum:
@@ -189,7 +189,7 @@ def test_vqe_reaches_subspace_ground_energy_both_methods():
         configs = [OnConfig.from_string(s) for s in support]
         spec = validate_spec([(1 / math.sqrt(len(support)), s) for s in support])
         h = number_conserving_hamiltonian(rng, len(support[0]))
-        exact = subspace_diag(h, configs).values[0]
+        exact = subspace_diag(h, configs)[0]
         gr = vqe_minimize(h, spec, method="gr", restarts=restarts, seed=7)
         ssp = vqe_minimize(h, spec, method="ssp", restarts=restarts, seed=7)
         assert gr.energy == pytest.approx(exact, abs=1e-6)
@@ -206,7 +206,7 @@ def test_vqe_single_configuration_has_no_parameters():
     assert result.parameters == {}
     assert result.restarts_used == 0
     assert result.energy == pytest.approx(
-        expectation(StateVector.basis_state(OnConfig.from_string("110")), h), abs=1e-12
+        expectation(basis_state(OnConfig.from_string("110")), h), abs=1e-12
     )
 
 
@@ -334,7 +334,7 @@ def test_qcels_recovers_eigenvalue_from_eigenstate():
         h = random_sum(rng, n, 6)
         values, vectors = h.eigensystem
         k = int(rng.integers(0, 1 << n))
-        state = StateVector(vectors[:, k].astype(complex), n)
+        state = vectors[:, k].astype(complex)
         spread = values[-1] - values[0]
         tau = 0.9 * 2 * math.pi / spread
         series = qcels_series(state, h, tau, 24)
@@ -353,7 +353,8 @@ def test_qcels_grid_scores_match_objective():
         values = (weights[None, :] * np.exp(-1j * np.outer(np.arange(n_samples) * tau, energies))).sum(axis=1)
         series = QcelsSeries(tau, values, 0.0)
         grid = np.linspace(-math.pi / tau, math.pi / tau, 10 * n_samples, endpoint=False)
-        direct = np.array([_qcels_objective(series, e) for e in grid])
+        steps = np.arange(n_samples) * tau
+        direct = np.array([abs(np.sum(values * np.exp(1j * steps * e))) ** 2 for e in grid])
         scores = _qcels_grid_scores(series)
         assert scores.shape == direct.shape
         assert np.max(np.abs(scores - direct)) <= 1e-12 * np.max(direct)
@@ -378,7 +379,7 @@ def test_qcels_sparse_series_matches_eigendecomposition():
     amps[[x.index for x in configs]] = coeffs
     # Twice the coefficient 1-norm bounds the spectral range from above.
     tau = 0.9 * math.pi / sum(abs(c) for c, w in h.terms() if str(w) != "I" * n)
-    series = qcels_series(StateVector(amps, n), h, tau, 8)
+    series = qcels_series(amps, h, tau, 8)
     weights = np.abs(vectors.conj().T @ coeffs) ** 2
     steps = np.arange(8) * tau
     expected = (weights[None, :] * np.exp(-1j * np.outer(steps, values - 2.5))).sum(axis=1)
@@ -396,7 +397,7 @@ def test_qcels_restores_identity_shift():
     base = random_sum(rng, 3, 5)
     shifted = PauliSum.from_terms(base.terms() + [(17.5, "III")], 3)
     values, vectors = base.eigensystem
-    state = StateVector(vectors[:, 0].astype(complex), 3)
+    state = vectors[:, 0].astype(complex)
     tau = 0.8 * 2 * math.pi / _spread(base)
     series = qcels_series(state, shifted, tau, 24)
     assert series.shift == pytest.approx(17.5)
@@ -406,7 +407,7 @@ def test_qcels_restores_identity_shift():
 def test_qcels_rejects_bad_sampling():
     rng = np.random.default_rng(78)
     h = random_sum(rng, 3, 5)
-    state = StateVector.zero_state(3)
+    state = basis_state(OnConfig.from_string("000"))
     with pytest.raises(TauTooLarge):
         qcels_series(state, h, 2 * math.pi / _spread(h) + 1.0, 8)
     with pytest.raises(ValueError):
@@ -415,15 +416,21 @@ def test_qcels_rejects_bad_sampling():
         qcels_series(state, h, 0.1, 1)
 
 
+def test_qcels_rejects_flat_objective():
+    # A single nonzero sample makes the objective constant: there is no peak.
+    with pytest.raises(ValueError, match="no peak"):
+        qcels_estimate(QcelsSeries(0.5, np.array([1, 0]), 0.0))
+
+
 # --- excited-state matrices ---------------------------------------------------------
 
 
 def exact_ground_ansatz(h: PauliSum, hf: OnConfig):
     """Rotation ansatz preparing the closed-sector ground state from |hf>."""
     configs = [OnConfig.from_string(s) for s in TWO_ORBITAL_SECTOR]
-    spectrum = subspace_diag(h, configs, with_vectors=True)
-    ground = np.real(spectrum.vectors[:, 0])
-    assert np.abs(np.imag(spectrum.vectors[:, 0])).max() < 1e-12
+    values, vectors = np.linalg.eigh(subspace_matrix(h, configs))
+    ground = np.real(vectors[:, 0])
+    assert np.abs(np.imag(vectors[:, 0])).max() < 1e-12
     if abs(ground[0]) < 1e-6:
         return None, None
     if ground[0] < 0:
@@ -433,7 +440,7 @@ def exact_ground_ansatz(h: PauliSum, hf: OnConfig):
     )
     # reference first: keep hf in front without reordering
     assert spec.configs[0] == hf
-    return synthesize_gr(spec, include_reference_prep=False), spectrum
+    return synthesize_gr(spec, include_reference_prep=False), values
 
 
 def test_sceom_matrix_reproduces_exact_excitation_energies():
@@ -442,16 +449,16 @@ def test_sceom_matrix_reproduces_exact_excitation_energies():
     done = 0
     while done < 4:
         h = spin_conserving_hamiltonian(rng)
-        ansatz, spectrum = exact_ground_ansatz(h, hf)
+        ansatz, values = exact_ground_ansatz(h, hf)
         if ansatz is None:
             continue
         excitations = cisd_excitations(hf)
         for prep in ("gr", "ssp"):
             m = sceom_m_matrix(h, hf, excitations, ansatz, prep_method=prep)
             assert np.max(np.abs(m.values - m.values.T)) < 1e-9
-            assert m.ground_energy == pytest.approx(spectrum.values[0], abs=1e-9)
-            energies = sceom_energies(m)
-            expected = spectrum.values[1:] - spectrum.values[0]
+            assert m.ground_energy == pytest.approx(values[0], abs=1e-9)
+            energies = sceom_energies(m.values)
+            expected = values[1:] - values[0]
             assert np.allclose(energies, expected, atol=1e-6)
         done += 1
 
@@ -465,12 +472,12 @@ def test_sceom_off_diagonal_reconstruction_identity():
     excitations = cisd_excitations(hf)
     m = sceom_m_matrix(h, hf, excitations, ansatz)
     dense = h.matrix()
-    for a, op_a in enumerate(m.excitations):
+    for a, op_a in enumerate(excitations):
         xa, sa = apply_excitation(op_a, hf)
-        phi_a = run_circuit(ansatz, StateVector.basis_state(xa)).amps
-        for b in range(a + 1, len(m.excitations)):
-            xb, sb = apply_excitation(m.excitations[b], hf)
-            phi_b = run_circuit(ansatz, StateVector.basis_state(xb)).amps
+        phi_a = run_circuit(ansatz, basis_state(xa))
+        for b in range(a + 1, len(excitations)):
+            xb, sb = apply_excitation(excitations[b], hf)
+            phi_b = run_circuit(ansatz, basis_state(xb))
             direct = sa * sb * np.vdot(phi_a, dense @ phi_b).real
             assert m.values[a, b] == pytest.approx(direct, abs=1e-9)
 

@@ -37,7 +37,7 @@ from mcprep.circuits import (
     zzmax_gate,
 )
 from mcprep.configs import generate_cisd_configs, validate_spec
-from mcprep.simulator import StateVector, circuit_unitary, run_circuit
+from mcprep.simulator import circuit_unitary, run_circuit
 
 # --- dense embedding oracle ---------------------------------------------------
 
@@ -202,7 +202,7 @@ def test_circuit_unitary_matches_embedding_oracle():
             col = int(rng.integers(1 << n))
             basis = np.zeros(1 << n, dtype=complex)
             basis[col] = 1.0
-            out = run_circuit(c, StateVector(basis, n)).amps
+            out = run_circuit(c, basis)
             assert np.allclose(out, oracle[:, col], atol=1e-12), (kind, n_ctrl)
 
 
@@ -363,6 +363,10 @@ def test_compile_rejects_unbound_parameters():
     c = Circuit(2, (g2_gate(0, 1, "t"),))
     with pytest.raises(UnboundParameterError):
         compile_circuit(c, gateset_by_name("cx"))
+    # A symbolic gate raises whether or not its kind is in the target set.
+    for g in (rz_gate(0, "t"), ry_gate(0, "t")):
+        with pytest.raises(UnboundParameterError):
+            decompose_gate(g, gateset_by_name("zz"))
 
 
 # --- simplification passes ------------------------------------------------------

@@ -10,7 +10,7 @@ from mcprep import cli, fileio
 from mcprep.algorithms import MAX_QCELS_SAMPLES
 from mcprep.circuits import CNOT, G2, PHASEDX, RY, Circuit, Gate
 from mcprep.configs import SpecValidationError, cisd_excitations, hartree_fock_config
-from mcprep.simulator import StateVector, exact_spectrum, expectation
+from mcprep.simulator import exact_spectrum, expectation, spec_state
 
 SPEC_TEXT = "0.8 1100\n0.6 0110\n"
 
@@ -398,6 +398,22 @@ def test_cli_qcels_rejects_unresolvable_step(tmp_path, capsys):
     assert report["estimate"] == pytest.approx(-0.75, abs=1e-9)
 
 
+def test_cli_qcels_rejects_flat_objective(tmp_path, capsys):
+    # An equal superposition of the eigenvalues +-2 sampled twice at pi/4 has
+    # a constant objective, so no estimate is better than any other.
+    amp = "0.7071067811865476"
+    spec_path = write(tmp_path, "state.txt", f"{amp} 10\n{amp} 01\n")
+    ham_path = write(tmp_path, "h.txt", "1 ZI\n-1 IZ\n")
+    code, report, err = run_cli(
+        capsys,
+        ["qcels", "--spec", spec_path, "--hamiltonian", ham_path,
+         "--tau", "0.7853981633974483", "--samples", "2"],
+    )
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: QCELS objective has no peak")
+
+
 def test_cli_qcels_reports_unconverged_spectral_range(tmp_path, capsys, monkeypatch):
     # Above 10 qubits the spectral range comes from eigsh, whose
     # non-convergence must end in the error contract, not a traceback.
@@ -500,7 +516,7 @@ def test_cli_sceom(tmp_path, capsys):
     energies = report["excitation_energies"]
     assert energies == sorted(energies)
 
-    hf_state = StateVector.from_spec(fileio.parse_state_spec("1 1100\n"))
+    hf_state = spec_state(fileio.parse_state_spec("1 1100\n"))
     h = fileio.parse_hamiltonian(HAM_TEXT)
     assert report["ground_energy"] == pytest.approx(expectation(hf_state, h), abs=1e-12)
 
@@ -523,7 +539,7 @@ def test_cli_sceom_with_ansatz_file(tmp_path, capsys):
          "--ansatz", ansatz_path],
     )
     assert code == 0
-    hf_state = StateVector.from_spec(fileio.parse_state_spec("1 1100\n"))
+    hf_state = spec_state(fileio.parse_state_spec("1 1100\n"))
     h = fileio.parse_hamiltonian(HAM_TEXT)
     # The rotation moves the reference, so the reported energy must differ.
     assert abs(report["ground_energy"] - expectation(hf_state, h)) > 1e-6

@@ -13,7 +13,9 @@ from mcprep.givens import (
     plan_rotations,
     synthesize_gr,
 )
-from mcprep.simulator import StateVector, fidelity_up_to_phase, run_circuit
+from mcprep.simulator import fidelity_up_to_phase, run_circuit, spec_state
+
+from tests.test_simulator import basis_state
 
 
 def angles_read_off(symbolic, numeric) -> dict[str, float]:
@@ -143,7 +145,7 @@ def test_single_configuration_is_pure_reference_prep():
     c = synthesize_gr(spec)
     assert all(g.kind == X for g in c.gates)
     out = run_circuit(c)
-    assert out.amps[OnConfig.from_string("0101").index] == 1.0
+    assert out[OnConfig.from_string("0101").index] == 1.0
 
 
 def test_zero_angles_reproduce_reference_exactly():
@@ -155,8 +157,8 @@ def test_zero_angles_reproduce_reference_exactly():
     )
     spec = StateSpec(entries, 4)
     out = run_circuit(synthesize_gr(spec))
-    assert out.amps[OnConfig.from_string("1100").index] == 1.0 + 0.0j
-    assert np.count_nonzero(out.amps) == 1
+    assert out[OnConfig.from_string("1100").index] == 1.0 + 0.0j
+    assert np.count_nonzero(out) == 1
 
 
 def test_prepared_state_matches_spec_with_exact_support():
@@ -166,15 +168,15 @@ def test_prepared_state_matches_spec_with_exact_support():
         d = int(rng.integers(1, 9))
         spec = random_equal_weight_spec(rng, n, d)
         out = run_circuit(synthesize_gr(spec))
-        target = StateVector.from_spec(spec)
+        target = spec_state(spec)
         assert fidelity_up_to_phase(out, target) >= 1.0 - 1e-9
         allowed = {x.index for x in spec.configs}
         leakage = sum(
-            abs(a) ** 2 for i, a in enumerate(out.amps) if i not in allowed
+            abs(a) ** 2 for i, a in enumerate(out) if i not in allowed
         )
         assert leakage < 1e-10
         weight = spec.weight
-        for i, a in enumerate(out.amps):
+        for i, a in enumerate(out):
             if abs(a) > 1e-10:
                 assert bin(i).count("1") == weight
 
@@ -186,7 +188,7 @@ def test_distant_configurations_go_through_swap_walk():
     plan = plan_rotations(spec.configs)
     assert plan.rotations[0].swaps
     out = run_circuit(synthesize_gr(spec))
-    assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-12
+    assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-12
     kinds = {g.kind for g in synthesize_gr(spec).gates}
     assert SWAP in kinds and G2 in kinds
 
@@ -200,16 +202,16 @@ def test_gadget_swaps_restore_bystander_configurations():
         if not any(rot.swaps for rot in plan_rotations(spec.configs).rotations):
             continue
         out = run_circuit(synthesize_gr(spec))
-        assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-9
+        assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-9
 
 
 def test_ansatz_form_maps_reference_to_target():
     spec = validate_spec([(0.6, "1100"), (-0.8, "0110")])
     c = synthesize_gr(spec, include_reference_prep=False)
     assert not any(g.kind == X for g in c.gates)
-    ref = StateVector.basis_state(spec.configs[0])
+    ref = basis_state(spec.configs[0])
     out = run_circuit(c, ref)
-    assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-12
+    assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-12
 
 
 def test_symbolic_circuit_binds_to_numeric_one():

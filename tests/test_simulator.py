@@ -30,7 +30,6 @@ from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec
 from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
-    StateVector,
     _apply_matrix,
     circuit_unitary,
     energy_gradient,
@@ -41,6 +40,7 @@ from mcprep.simulator import (
     moments,
     run_circuit,
     subspace_diag,
+    spec_state,
     subspace_matrix,
 )
 from mcprep.ssp import synthesize_ssp
@@ -60,29 +60,33 @@ def random_state(rng, n: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def basis_state(config: OnConfig) -> np.ndarray:
+    """The computational basis state of a configuration."""
+    amps = np.zeros(1 << config.n_qubits, dtype=complex)
+    amps[config.index] = 1.0
+    return amps
+
+
 # --- state construction ---------------------------------------------------------
 
 
-def test_state_constructors():
-    z = StateVector.zero_state(3)
-    assert z.amps[0] == 1.0 and z.norm == 1.0
-    cfg = OnConfig.from_string("101")
-    b = StateVector.basis_state(cfg)
-    assert b.amps[5] == 1.0
+def test_spec_state():
     spec = validate_spec([(0.6, "10"), (0.8, "01")])
-    s = StateVector.from_spec(spec)
-    assert s.amps[1] == pytest.approx(0.8)  # "01" is index 1
-    assert s.amps[2] == pytest.approx(0.6)
-    assert s.norm == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(3, dtype=complex), 2)
+    s = spec_state(spec)
+    assert s.dtype == complex and s.shape == (4,)
+    assert s[1] == pytest.approx(0.8)  # "01" is index 1
+    assert s[2] == pytest.approx(0.6)
+    assert s[0] == s[3] == 0.0
+    assert np.linalg.norm(s) == pytest.approx(1.0)
 
 
-def test_copy_is_independent():
-    a = StateVector.zero_state(1)
-    b = a.copy()
-    b.amps[0] = 0.0
-    assert a.amps[0] == 1.0
+def test_run_circuit_leaves_initial_unchanged():
+    c = Circuit(1, (x_gate(0),))
+    for initial in (np.array([1.0, 0.0], dtype=complex), np.array([1.0, 0.0])):
+        kept = initial.copy()
+        out = run_circuit(c, initial)
+        assert np.array_equal(initial, kept) and initial.dtype == kept.dtype
+        assert out.dtype == complex and np.array_equal(out, [0.0, 1.0])
 
 
 # --- gate application -----------------------------------------------------------
@@ -108,10 +112,10 @@ def test_run_circuit_matches_unitary_action():
             else:
                 gates.append(x_gate(int(q[0])))
         c = Circuit(n, tuple(gates))
-        initial = StateVector(random_state(rng, n), n)
+        initial = random_state(rng, n)
         out = run_circuit(c, initial)
-        assert np.allclose(out.amps, circuit_unitary(c) @ initial.amps, atol=1e-12)
-        assert out.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out, circuit_unitary(c) @ initial, atol=1e-12)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def tensordot_apply(amps, n, u, targets, controls):
@@ -160,12 +164,12 @@ def test_control_states_select_basis_sectors():
     # Starting from |00>, a 0-state control fires and a 1-state control does not.
     fires = Circuit(2, (x_gate(1, ((0, 0),)),))
     idles = Circuit(2, (x_gate(1, ((0, 1),)),))
-    assert run_circuit(fires).amps[1] == 1.0
-    assert run_circuit(idles).amps[0] == 1.0
+    assert run_circuit(fires)[1] == 1.0
+    assert run_circuit(idles)[0] == 1.0
     # From |10> the roles swap.
-    ten = StateVector.basis_state(OnConfig.from_string("10"))
-    assert run_circuit(idles, ten).amps[3] == 1.0
-    assert run_circuit(fires, ten).amps[2] == 1.0
+    ten = basis_state(OnConfig.from_string("10"))
+    assert run_circuit(idles, ten)[3] == 1.0
+    assert run_circuit(fires, ten)[2] == 1.0
 
 
 def test_run_circuit_guards():
@@ -174,7 +178,7 @@ def test_run_circuit_guards():
     with pytest.raises(ValueError):
         run_circuit(Circuit(1, (ry_gate(0, "t"),)))
     with pytest.raises(ValueError):
-        run_circuit(Circuit(2, ()), StateVector.zero_state(1))
+        run_circuit(Circuit(2, ()), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         circuit_unitary(Circuit(13, ()))
 
@@ -219,7 +223,6 @@ def test_fidelity_up_to_phase_ignores_global_phase():
     amps = random_state(rng, 3)
     rotated = np.exp(1j * 0.7) * amps
     assert fidelity_up_to_phase(amps, rotated) == pytest.approx(1.0)
-    assert fidelity_up_to_phase(StateVector(amps, 3), StateVector(rotated, 3)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         fidelity_up_to_phase(amps, random_state(rng, 2))
 
@@ -234,7 +237,7 @@ def test_expectation_matches_dense_quadratic_form():
         h = random_sum(rng, n, 6)
         amps = random_state(rng, n)
         dense = np.vdot(amps, h.matrix() @ amps).real
-        assert expectation(StateVector(amps, n), h) == pytest.approx(dense, abs=1e-11)
+        assert expectation(amps, h) == pytest.approx(dense, abs=1e-11)
 
 
 def test_moments_match_dense_matrix_powers():
@@ -270,10 +273,10 @@ def test_evolve_matches_dense_expm():
         h = random_sum(rng, n, 5)
         amps = random_state(rng, n)
         t = float(rng.uniform(-2, 2))
-        out = evolve(StateVector(amps, n), h, t)
+        out = evolve(amps, h, t)
         dense = scipy.linalg.expm(-1j * t * h.matrix()) @ amps
-        assert np.allclose(out.amps, dense, atol=1e-10)
-        assert out.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out, dense, atol=1e-10)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_composes_additively():
@@ -282,20 +285,20 @@ def test_evolve_composes_additively():
     amps = random_state(rng, 3)
     one = evolve(evolve(amps, h, 0.4), h, 0.9)
     both = evolve(amps, h, 1.3)
-    assert np.allclose(one.amps, both.amps, atol=1e-10)
+    assert np.allclose(one, both, atol=1e-10)
     frozen = evolve(amps, h, 0.0)
-    assert np.allclose(frozen.amps, amps, atol=1e-14)
+    assert np.allclose(frozen, amps, atol=1e-14)
 
 
 def test_evolve_sparse_path_agrees_with_dense_diagonalization():
     rng = np.random.default_rng(37)
-    n = 11  # above the dense-evolution cutoff, exercises the sparse branch
+    n = 11  # above MAX_DENSE_EIGEN_QUBITS, where qcels_series evolves the state
     h = random_sum(rng, n, 4)
     amps = random_state(rng, n)
     out = evolve(amps, h, 0.37)
     values, vectors = np.linalg.eigh(h.matrix())
     dense = vectors @ (np.exp(-1j * values * 0.37) * (vectors.conj().T @ amps))
-    assert np.allclose(out.amps, dense, atol=1e-9)
+    assert np.allclose(out, dense, atol=1e-9)
 
 
 def test_evolve_register_mismatch():
@@ -332,8 +335,7 @@ def test_subspace_diag_full_basis_recovers_spectrum():
     rng = np.random.default_rng(40)
     h = random_sum(rng, 3, 5)
     configs = [OnConfig.from_string(format(i, "03b")) for i in range(8)]
-    sub = subspace_diag(h, configs)
-    assert np.allclose(sub.values, exact_spectrum(h), atol=1e-10)
+    assert np.allclose(subspace_diag(h, configs), exact_spectrum(h), atol=1e-10)
     with pytest.raises(ValueError):
         subspace_matrix(h, configs + [configs[0]])
 
@@ -344,6 +346,6 @@ def test_subspace_diag_interlaces_full_spectrum():
     h = random_sum(rng, 4, 8)
     full = exact_spectrum(h)
     configs = [OnConfig.from_string(s) for s in ("0011", "0101", "1001", "0110")]
-    sub = subspace_diag(h, configs).values
+    sub = subspace_diag(h, configs)
     assert sub[0] >= full[0] - 1e-12
     assert sub[-1] <= full[-1] + 1e-12

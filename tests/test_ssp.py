@@ -21,7 +21,7 @@ from mcprep.circuits import (
 from mcprep import ssp
 from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec, xor_support
 from mcprep.givens import synthesize_gr
-from mcprep.simulator import StateVector, fidelity_up_to_phase, run_circuit
+from mcprep.simulator import fidelity_up_to_phase, run_circuit, spec_state
 from mcprep.ssp import (
     MergeError,
     merge_angle,
@@ -209,7 +209,7 @@ def replay_merges(spec):
     """The spec's state followed by its state after each forward merge step
     (fold the pair onto the pivot, then rotate the pivot), and the survivor."""
     steps, survivor = plan_merges(spec)
-    states = [StateVector.from_spec(spec)]
+    states = [spec_state(spec)]
     for step in steps:
         gates = [cnot_gate(step.pivot, q) for q in step.conjugations]
         gates.append(ry_gate(step.pivot, step.pivot_rotation, step.controls))
@@ -223,12 +223,12 @@ def test_merge_plan_accumulates_positive_survivor_weight():
     states, survivor = replay_merges(spec)
     assert len(states) == 4
     assert survivor in spec.configs
-    assert abs(states[-1].amps[survivor.index] - 1.0) < 1e-12
+    assert abs(states[-1][survivor.index] - 1.0) < 1e-12
     rng = np.random.default_rng(67)
     for _ in range(30):
         spec = random_equal_weight_spec(rng, int(rng.integers(2, 8)), int(rng.integers(2, 7)))
         states, survivor = replay_merges(spec)
-        assert abs(states[-1].amps[survivor.index] - 1.0) < 1e-12
+        assert abs(states[-1][survivor.index] - 1.0) < 1e-12
 
 
 # --- circuit structure ----------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_two_string_difference_folds_onto_single_pivot():
     compiled = compile_circuit(native, gateset_by_name("zz"))
     assert abs(count_resources(compiled).two_qubit_total - 3) <= 1
     out = run_circuit(native)
-    assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-12
+    assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-12
 
 
 def test_rotation_count_is_support_size_minus_one():
@@ -279,9 +279,9 @@ def test_prepared_state_is_exact_and_sector_confined():
     for _ in range(40):
         spec = random_equal_weight_spec(rng, int(rng.integers(2, 10)), int(rng.integers(1, 9)))
         out = run_circuit(synthesize_ssp(spec))
-        assert fidelity_up_to_phase(out, StateVector.from_spec(spec)) >= 1.0 - 1e-9
+        assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-9
         allowed = {x.index for x in spec.configs}
-        for i, a in enumerate(out.amps):
+        for i, a in enumerate(out):
             if abs(a) > 1e-10:
                 assert i in allowed
 
@@ -290,12 +290,12 @@ def test_output_is_invariant_under_entry_permutation():
     rng = np.random.default_rng(65)
     for _ in range(20):
         spec = random_equal_weight_spec(rng, 6, 5)
-        base = run_circuit(synthesize_ssp(spec)).amps
+        base = run_circuit(synthesize_ssp(spec))
         entries = list(spec.entries)
         for _ in range(3):
             perm = rng.permutation(len(entries))
             shuffled = validate_spec([(c, str(x)) for c, x in (entries[k] for k in perm)])
-            out = run_circuit(synthesize_ssp(shuffled)).amps
+            out = run_circuit(synthesize_ssp(shuffled))
             assert np.abs(out - base).max() < 1e-12
 
 
@@ -306,10 +306,10 @@ def test_disentangling_prefixes_telescope_support():
         [(0.5, "110010"), (0.5, "101010"), (0.5, "011100"), (0.5, "000111")]
     )
     states, survivor = replay_merges(spec)
-    sizes = [int(np.count_nonzero(np.abs(s.amps) > 1e-12)) for s in states]
+    sizes = [int(np.count_nonzero(np.abs(s) > 1e-12)) for s in states]
     assert sizes == [4, 3, 2, 1]
     # The last step leaves the whole weight on the survivor.
-    assert abs(abs(states[-1].amps[survivor.index]) - 1.0) < 1e-12
+    assert abs(abs(states[-1][survivor.index]) - 1.0) < 1e-12
 
 
 def test_sparse_method_never_beats_rotation_ladder_backwards():
