@@ -20,8 +20,11 @@ to units of pi at the file boundary (see fileio).
 """
 from __future__ import annotations
 
+import bisect
+import collections
 import dataclasses
 import functools
+import itertools
 import math
 import struct
 from typing import Iterable
@@ -95,6 +98,20 @@ class Gate:
         return dataclasses.replace(self, params=params)
 
 
+_new = object.__new__
+
+
+def _checked_gate(kind: str, targets: tuple, controls: tuple, params: tuple) -> Gate:
+    """A Gate from fields its caller has already checked as __post_init__
+    would, built without checking them again."""
+    g = _new(Gate)
+    fields = g.__dict__
+    fields["kind"], fields["targets"], fields["controls"], fields["params"] = (
+        kind, targets, controls, params
+    )
+    return g
+
+
 def gate(kind: str, targets, controls=(), params=()) -> Gate:
     return Gate(kind, tuple(targets), tuple(controls), tuple(params))
 
@@ -159,12 +176,17 @@ class Circuit:
             if bad:
                 raise ValueError(f"gate wires {bad} outside register of {self.n_qubits}")
 
-    @property
+    @functools.cached_property
     def parameters(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for g in self.gates:
-            names.update(g.symbols)
-        return tuple(sorted(names))
+        return tuple(sorted({p for g in self.gates for p in g.params if isinstance(p, str)}))
+
+
+def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...], parameters: tuple[str, ...]) -> Circuit:
+    """A Circuit whose wires and free parameters its caller has already
+    checked and collected, built without walking its gates again."""
+    c = _new(Circuit)
+    c.__dict__.update(n_qubits=n_qubits, gates=gates, parameters=parameters)
+    return c
 
 
 def bind_parameters(c: Circuit, values: dict[str, float]) -> Circuit:
@@ -556,19 +578,26 @@ def _flatten_cx(recs: Iterable[tuple], memo: dict) -> list[tuple]:
     return out
 
 
-def _rewrite_zz(rec: tuple) -> list[tuple]:
+def _rewrite_zz(rec: tuple) -> tuple[tuple, ...]:
     """Map a CX-native record onto {ZZMax, PhasedX, Rz}."""
     kind, targets, _, params = rec
     if kind == RZ:
-        return [rec]
+        return (rec,)
     if kind == RY:
-        return [_phasedx(targets[0], params[0], math.pi / 2)]
+        return (_phasedx(targets[0], params[0], math.pi / 2),)
+    return _rewrite_zz_fixed(rec)
+
+
+@functools.cache
+def _rewrite_zz_fixed(rec: tuple) -> tuple[tuple, ...]:
+    """_rewrite_zz of the CX-native kinds without angles, once per process."""
+    kind, targets, _, _ = rec
     if kind == X:
-        return [_phasedx(targets[0], math.pi, 0.0)]
+        return (_phasedx(targets[0], math.pi, 0.0),)
     if kind == CNOT:
         c, t = targets
-        h_t = [_rz(t, math.pi), _phasedx(t, math.pi / 2, math.pi / 2)]
-        return h_t + [(ZZMAX, (c, t), (), ()), _rz(c, -math.pi / 2), _rz(t, -math.pi / 2)] + h_t
+        h_t = (_rz(t, math.pi), _phasedx(t, math.pi / 2, math.pi / 2))
+        return (*h_t, (ZZMAX, (c, t), (), ()), _rz(c, -math.pi / 2), _rz(t, -math.pi / 2), *h_t)
     raise ValueError(f"not a CX-native gate: {kind}")
 
 
@@ -622,23 +651,54 @@ def _merged(prev: tuple, rec: tuple) -> tuple | None:
     return None
 
 
-def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool]:
+def _combines(prev: tuple | None, rec: tuple) -> bool:
+    """Whether the pass cancels or merges rec into prev, the latest record on
+    its wires. Both need the same targets in the same order."""
+    return prev is not None and prev[1] == rec[1] and (
+        rec[0] in _SELF_INVERSE and prev[0] == rec[0] or _merged(prev, rec) is not None
+    )
+
+
+def _latest_kept(out: list, on_wire: dict, wires: tuple) -> tuple | None:
+    latest = -1
+    for q in wires:
+        for idx in reversed(on_wire[q]):
+            if out[idx] is not None:
+                latest = max(latest, idx)
+                break
+    return out[latest] if latest >= 0 else None
+
+
+def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool, list[int]]:
+    """One left-to-right simplification pass. Returns the records, whether the
+    pass changed them, and the positions of the records a second pass would
+    combine with the record before them.
+
+    A second pass can only differ where a record was compared against one
+    deleted earlier in the pass: it then meets the latest kept record behind
+    the deleted one, and the pass checks whether the two would combine.
+    """
     out: list[tuple | None] = []
-    last_on_wire: dict[int, int] = {}
+    on_wire: dict[int, list[int]] = collections.defaultdict(list)
     changed = False
+    pending = []
     for rec in recs:
         if _null_rotation(rec):
             changed = True
             continue
-        kind, wires, _, _ = rec
+        wires = rec[1]
         if len(wires) == 1:
-            prev_idx = last_on_wire.get(wires[0], -1)
+            seen = on_wire[wires[0]]
+            prev_idx = seen[-1] if seen else -1
         else:
-            prev_idx = max(last_on_wire.get(q, -1) for q in wires)
-        prev = out[prev_idx] if prev_idx >= 0 else None
-        if prev is not None:
-            if prev[1] == wires or set(prev[1]) == set(wires):
-                if kind in _SELF_INVERSE and prev[:2] == rec[:2]:
+            prev_idx = max([seen[-1] if (seen := on_wire[q]) else -1 for q in wires])
+        if prev_idx >= 0:
+            prev = out[prev_idx]
+            if prev is None:
+                if _combines(_latest_kept(out, on_wire, wires), rec):
+                    pending.append(len(out))
+            elif prev[1] == wires:
+                if rec[0] in _SELF_INVERSE and prev[0] == rec[0]:
                     out[prev_idx] = None
                     changed = True
                     continue
@@ -650,16 +710,56 @@ def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool]:
         idx = len(out)
         out.append(rec)
         for q in wires:
-            last_on_wire[q] = idx
-    return [rec for rec in out if rec is not None], changed
+            on_wire[q].append(idx)
+    if pending:
+        # A pending record deleted later in the pass leaves its successors to
+        # be compared against it, and they were checked in turn.
+        deleted = [idx for idx, rec in enumerate(out) if rec is None]
+        pending = [idx - bisect.bisect_left(deleted, idx) for idx in pending if out[idx] is not None]
+    return [rec for rec in out if rec is not None], changed, pending
 
 
-def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> tuple[list[tuple], bool]:
+def _run_matrix(run: list[tuple]) -> np.ndarray:
+    acc = np.eye(2, dtype=complex)
+    for kind, _, _, params in run:
+        acc = gate_matrix(kind, tuple(map(float, params))) @ acc
+    return acc
+
+
+def _run_body(run: list[tuple], memo: dict) -> tuple[list[tuple[str, tuple]], bool]:
+    """The (kind, params) of at most PhasedX + Rz for a run of one-qubit
+    records on one wire, and whether replacing the run by it leaves nothing
+    for a later round: the body is not shorter (so it is not used), or it is
+    not empty and a second consolidation would not shorten it. `memo` maps
+    the run's kinds and exact angle bits (-0.0 is not 0.0 here) to both, for
+    one compilation."""
+    kinds, angles = [], []
+    for kind, _, _, params in run:
+        kinds.append(kind)
+        angles.extend(params)
+    key = (tuple(kinds), struct.pack(f"{len(angles)}d", *angles))
+    entry = memo.get(key)
+    if entry is None:
+        body = _emit_zz_1q(_run_matrix(run))
+        final = len(body) >= len(run) or len(body) == 1
+        if len(body) == 2 < len(run):
+            final = len(_emit_zz_1q(_run_matrix([(kind, (), (), p) for kind, p in body]))) == 2
+        entry = memo[key] = (body, final)
+    return entry
+
+
+def _consolidate_1q_runs(
+    recs: list[tuple], memo: dict, pending: list[int]
+) -> tuple[list[tuple], bool, bool]:
     """Replace runs of adjacent one-qubit gates on a wire by at most
-    PhasedX + Rz whenever that shortens the circuit.
+    PhasedX + Rz whenever that shortens the circuit. Returns the records,
+    whether any run was replaced, and whether the next round would change
+    nothing: every record at a `pending` position (see _peephole_pass) was
+    replaced, no run became empty, and no two-gate replacement would be
+    replaced again.
 
-    `memo` maps a run's kinds and exact angle bits (-0.0 is not 0.0 here) to
-    its replacement, for one compilation.
+    A replacement's angles are not null, and its neighbours on its wire are
+    two-qubit gates, so the next peephole pass leaves it as it is.
     """
     runs: dict[int, list[int]] = {}
     finished: list[list[int]] = []
@@ -678,35 +778,27 @@ def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> tuple[list[tuple], bo
 
     replacements: dict[int, list[tuple]] = {}
     removed: set[int] = set()
+    settled = True
     for run in finished:
         if len(run) < 2:
             continue
-        kinds, angles = [], []
-        for idx in run:
-            kinds.append(recs[idx][0])
-            angles.extend(recs[idx][3])
-        key = (tuple(kinds), struct.pack(f"{len(angles)}d", *angles))
-        body = memo.get(key)
-        if body is None:
-            acc = np.eye(2, dtype=complex)
-            for idx in run:
-                kind, _, _, params = recs[idx]
-                acc = gate_matrix(kind, tuple(map(float, params))) @ acc
-            body = memo[key] = _emit_zz_1q(acc)
+        body, final = _run_body([recs[idx] for idx in run], memo)
         if len(body) < len(run):
             q = recs[run[0]][1][0]
             replacements[run[0]] = [(kind, (q,), (), params) for kind, params in body]
             removed.update(run)
+            settled = settled and final
 
+    settled = settled and removed.issuperset(pending)
     if not replacements:
-        return recs, False
+        return recs, False, settled
     out = []
     for idx, rec in enumerate(recs):
         if idx not in removed:
             out.append(rec)
         elif idx in replacements:
             out.extend(replacements[idx])
-    return out, True
+    return out, True, settled
 
 
 def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
@@ -729,7 +821,11 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     Simplification: zero-angle elision, adjacent self-inverse cancellation and
     same-axis rotation merging (wire-adjacency aware), plus one-qubit run
     consolidation for the ZZ-native set. Preserves the unitary up to a global
-    phase.
+    phase. Rounds of simplification repeat while the last one changed the
+    records and may have left work for the next: a record that would combine
+    with the one behind a deleted record, an emptied run, or a replacement
+    that would shrink again. So no round is spent confirming a fixed point
+    the last round provably reached.
     """
     if c.parameters:
         raise UnboundParameterError(f"compile needs bound angles; free: {c.parameters}")
@@ -739,19 +835,21 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
         recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset, rotations))
     runs: dict = {}
     for _ in range(10_000):
-        recs, changed = _peephole_pass(recs)
+        recs, changed, pending = _peephole_pass(recs)
         if gateset.name == "zz":
-            recs, consolidated = _consolidate_1q_runs(recs, runs)
+            recs, consolidated, settled = _consolidate_1q_runs(recs, runs, pending)
             changed = changed or consolidated
-        if not changed:
+        else:
+            settled = not pending
+        if not changed or settled:
             break
     else:
         raise RuntimeError("simplification did not reach a fixed point")
-    gates = tuple(Gate(*rec) for rec in recs)
-    for g in gates:
-        if g.kind not in gateset.kinds or g.controls:
-            raise RuntimeError(f"gate {g} escaped compilation to {gateset.name}")
-    return Circuit(c.n_qubits, gates)
+    for rec in recs:
+        if rec[0] not in gateset.kinds or rec[2]:
+            raise RuntimeError(f"gate {Gate(*rec)} escaped compilation to {gateset.name}")
+    # Expansion emits wires only from the input's gates, so the register holds them.
+    return _checked_circuit(c.n_qubits, tuple(itertools.starmap(_checked_gate, recs)), ())
 
 
 # --- resource accounting ------------------------------------------------------
@@ -775,11 +873,18 @@ def count_resources(c: Circuit) -> ResourceCount:
     depth = 0
     for g in c.gates:
         counts[g.kind] = counts.get(g.kind, 0) + 1
-        wires = g.wires
-        if len(wires) == 2:
-            two_qubit += 1
-        at = 1 + max((layer.get(q, 0) for q in wires), default=0)
-        for q in wires:
-            layer[q] = at
-        depth = max(depth, at)
+        wires = g.targets
+        if g.controls:
+            wires += tuple(q for q, _ in g.controls)
+        if len(wires) == 1:
+            q = wires[0]
+            at = layer[q] = layer.get(q, 0) + 1
+        else:
+            if len(wires) == 2:
+                two_qubit += 1
+            at = 1 + max([layer.get(q, 0) for q in wires])
+            for q in wires:
+                layer[q] = at
+        if at > depth:
+            depth = at
     return ResourceCount(len(c.gates), counts, two_qubit, depth)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 
-from .circuits import PARAM_ARITY, Circuit, Gate
+from .circuits import PARAM_ARITY, Circuit, Gate, _checked_circuit, _checked_gate
 from .configs import StateSpec, validate_spec
 from .paulis import PauliSum, PauliWord
 
@@ -93,10 +93,13 @@ def parse_state_spec(text: str) -> StateSpec:
     return spec if ordered else spec.reordered_largest_first()
 
 
-def _angle_to_json(value):
+def _angle_text(value) -> str:
+    """An angle as json writes it: a name as a JSON string, a number in units
+    of pi by float.__repr__."""
     if isinstance(value, str):
-        return value
-    return float(value) / math.pi
+        return json.dumps(value)
+    turns = float(value) / math.pi
+    return float.__repr__(turns) if math.isfinite(turns) else json.dumps(turns)
 
 
 def _angle_from_json(value, position: int):
@@ -110,30 +113,66 @@ def _angle_from_json(value, position: int):
     raise ParseError(f"gate {position}: angle {value!r} must be a number or a name")
 
 
+_INT = frozenset({int})
+
+
 def _integers(value, position: int, field: str) -> tuple[int, ...]:
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
+    if not isinstance(value, list) or not _INT.issuperset(map(type, value)):
         raise ParseError(f"gate {position}: {field} {value!r} must be a list of integers")
     return tuple(value)
 
 
+def _controls(pairs, position: int) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
+        raise ParseError(
+            f"gate {position}: controls {pairs!r} must be a list of [qubit, state] pairs"
+        )
+    return tuple(_integers(p, position, "control") for p in pairs)
+
+
+def _gate_head(kind: str, targets: tuple, controls: tuple) -> str:
+    """A gate object's text up to its angle, as json.dumps(indent=2) writes it
+    at the depth of the 'gates' list, without the closing brace."""
+    entry: dict = {"kind": kind, "targets": list(targets)}
+    if controls:
+        entry["controls"] = [list(pair) for pair in controls]
+    return "    " + json.dumps(entry, indent=2)[:-2].replace("\n", "\n    ")
+
+
 def circuit_to_json(c: Circuit) -> str:
-    gates = []
+    """The circuit file, byte for byte what json.dumps(doc, indent=2) writes:
+    each gate's text up to its angle is rendered once per shape, and angles
+    are written into it."""
+    heads: dict[tuple, str] = {}
+    parts = []
     for g in c.gates:
-        entry: dict = {"kind": g.kind, "targets": list(g.targets)}
-        if g.controls:
-            entry["controls"] = [[q, s] for q, s in g.controls]
-        arity = PARAM_ARITY[g.kind]
-        if arity == 1:
-            entry["angle"] = _angle_to_json(g.params[0])
-        elif arity == 2:
-            entry["angle"] = [_angle_to_json(p) for p in g.params]
-        gates.append(entry)
-    doc = {"schema": CIRCUIT_SCHEMA, "n_qubits": c.n_qubits, "gates": gates}
-    return json.dumps(doc, indent=2) + "\n"
+        shape = (g.kind, g.targets, g.controls)
+        head = heads.get(shape)
+        if head is None:
+            head = heads[shape] = _gate_head(*shape)
+        params = g.params
+        if not params:
+            parts.append(head + "\n    }")
+        elif len(params) == 1:
+            parts.append(f'{head},\n      "angle": {_angle_text(params[0])}\n    }}')
+        else:
+            alpha, beta = map(_angle_text, params)
+            parts.append(f'{head},\n      "angle": [\n        {alpha},\n        {beta}\n      ]\n    }}')
+    gates = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    return (
+        f'{{\n  "schema": {json.dumps(CIRCUIT_SCHEMA)},\n  "n_qubits": {json.dumps(c.n_qubits)},\n'
+        f'  "gates": {gates}\n}}\n'
+    )
+
+
+_GATE_FIELDS = frozenset({"kind", "targets", "controls", "angle"})
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Read a circuit file. Each gate's fields are checked once; the checks of
+    the Gate constructor and the register run once per distinct (kind,
+    targets, controls)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -142,14 +181,24 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError("expected an object with 'n_qubits' and 'gates'")
     if doc.get("schema", CIRCUIT_SCHEMA) != CIRCUIT_SCHEMA:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}")
-    if type(doc["n_qubits"]) is not int:
-        raise ParseError(f"n_qubits {doc['n_qubits']!r} must be an integer")
+    n_qubits = doc["n_qubits"]
+    if type(n_qubits) is not int:
+        raise ParseError(f"n_qubits {n_qubits!r} must be an integer")
     if not isinstance(doc["gates"], list):
         raise ParseError(f"'gates' must be a list, got {doc['gates']!r}")
     gates = []
+    names = set()
+    checked: dict[tuple, Gate] = {}  # the first gate of each checked shape
+    outside = False
     for position, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict) or "kind" not in entry or "targets" not in entry:
             raise ParseError(f"gate {position}: expected an object with 'kind' and 'targets'")
+        if not _GATE_FIELDS.issuperset(entry):
+            unknown = sorted(entry.keys() - _GATE_FIELDS)
+            raise ParseError(
+                f"gate {position}: unknown field {unknown[0]!r}; "
+                "fields are kind, targets, controls and angle"
+            )
         kind = entry["kind"]
         if not isinstance(kind, str) or kind not in PARAM_ARITY:
             raise ParseError(
@@ -159,7 +208,7 @@ def circuit_from_json(text: str) -> Circuit:
         arity = PARAM_ARITY[kind]
         angle = entry.get("angle")
         if arity == 0:
-            if angle is not None:
+            if "angle" in entry:
                 raise ParseError(f"gate {position}: {kind} takes no angle")
             params: tuple = ()
         elif arity == 1:
@@ -171,17 +220,27 @@ def circuit_from_json(text: str) -> Circuit:
                 raise ParseError(f"gate {position}: {kind} needs a list of {arity} angles")
             params = tuple(_angle_from_json(a, position) for a in angle)
         targets = _integers(entry["targets"], position, "targets")
-        pairs = entry.get("controls", [])
-        if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
-            raise ParseError(
-                f"gate {position}: controls {pairs!r} must be a list of [qubit, state] pairs"
-            )
-        controls = tuple(_integers(p, position, "control") for p in pairs)
+        controls = _controls(entry["controls"], position) if "controls" in entry else ()
+        shape = (kind, targets, controls)
+        first = checked.get(shape)
+        if first is None:
+            try:
+                first = checked[shape] = Gate(kind, targets, controls, params)
+            except ValueError as err:
+                raise ParseError(f"gate {position}: {err}") from None
+            wires = targets + tuple(q for q, _ in controls)
+            outside = outside or min(wires) < 0 or max(wires) >= n_qubits
+            gates.append(first)
+        elif params:
+            gates.append(_checked_gate(kind, targets, controls, params))
+        else:
+            gates.append(first)  # Gates are immutable: one object per angle-free shape
+        for p in params:
+            if isinstance(p, str):
+                names.add(p)
+    if outside or n_qubits <= 0:
         try:
-            gates.append(Gate(kind, targets, controls, params))
+            Circuit(n_qubits, tuple(gates))
         except ValueError as err:
-            raise ParseError(f"gate {position}: {err}") from None
-    try:
-        return Circuit(doc["n_qubits"], tuple(gates))
-    except ValueError as err:
-        raise ParseError(str(err)) from None
+            raise ParseError(str(err)) from None
+    return _checked_circuit(n_qubits, tuple(gates), tuple(sorted(names)))

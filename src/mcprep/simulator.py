@@ -7,16 +7,23 @@ applied natively, including pattern rotations and gates with arbitrary
 to a hardware set first.
 
 A gate acts on tensor axes: the amplitudes are viewed as a (2,) * n tensor
-(axis q is qubit q) and each control fixes its axis to its state. One kernel
-serves every register size. A per-process cache holds, for each (register
-size, targets, controls, batch shape), the control-fixing index and the axis
-permutation that puts the targets first, in gate order. To apply a gate the
-kernel transposes the control-fixed view by that permutation, copies it once
-into a (2**m, -1) block, multiplies the gate's matrix into the block and
-writes the product back through the same view. The energy gradient of a
-symbolic circuit reuses that kernel in one backward pass (adjoint
-differentiation) and reads its generator rows from the same block. Subspace
-matrices are blocks of the operator sum's own kernel.
+(axis q is qubit q) and each control fixes its axis to its state. The general
+kernel serves every gate and register size. A per-process cache holds, for
+each (register size, targets, controls, batch shape), the control-fixing
+index and the axis permutation that puts the targets first, in gate order.
+To apply a gate the kernel transposes the control-fixed view by that
+permutation, copies it once into a (2**m, -1) block, multiplies the gate's
+matrix into the block and writes the product back through the same view.
+
+``run_circuit`` builds the matrices of each angle-bearing kind in one numpy
+pass over the circuit's angles, and applies the uncontrolled diagonal and
+permutation gates without the general kernel: ``Rz`` and ``ZZMax`` multiply
+a view that gives each target its own axis by their diagonal in place, ``X``
+and ``CNOT`` exchange slices of it. ``circuit_unitary`` keeps the general
+kernel for every gate, so it stays an independent oracle. The energy
+gradient of a symbolic circuit reuses the general kernel in one backward
+pass (adjoint differentiation) and reads its generator rows from the same
+block. Subspace matrices are blocks of the operator sum's own kernel.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ import functools
 
 import numpy as np
 
-from .circuits import G2, G4, RY, Circuit, Gate, gate_matrix
+from .circuits import CNOT, G2, G4, PHASEDX, RY, RZ, X, ZZMAX, Circuit, Gate, gate_matrix
 from .configs import StateSpec
 from .paulis import PauliSum
 
@@ -86,6 +93,84 @@ def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
     return _apply_matrix(amps, n, gate_matrix(g.kind, g.params), g.targets, g.controls)
 
 
+@functools.cache
+def _split(n: int, targets) -> tuple[int, ...]:
+    """A shape that gives each target its own axis of length 2, in qubit
+    order, and merges the qubits between them."""
+    shape, below = [], 0
+    for q in sorted(targets):
+        shape += [1 << (q - below), 2]
+        below = q + 1
+    return (*shape, 1 << (n - below))
+
+
+def _phase(state: np.ndarray, n: int, targets, u: np.ndarray) -> None:
+    # Rz has one target and ZZMax's diagonal is symmetric in its two, so the
+    # diagonal lies over the split axes in qubit order.
+    view = state.reshape(_split(n, targets))
+    view *= u.diagonal().reshape((2, 1) * len(targets))
+
+
+def _flip_x(state: np.ndarray, n: int, targets, u: np.ndarray) -> None:
+    view = state.reshape(_split(n, targets))
+    view[...] = view[:, ::-1]
+
+
+def _flip_cnot(state: np.ndarray, n: int, targets, u: np.ndarray) -> None:
+    control, target = targets
+    view = state.reshape(_split(n, targets))
+    if control < target:
+        view = view[:, 1]
+        view[...] = view[:, :, ::-1]
+    else:
+        view = view[:, :, :, 1]
+        view[...] = view[:, ::-1]
+
+
+_DIRECT_KERNELS = {RZ: _phase, ZZMAX: _phase, X: _flip_x, CNOT: _flip_cnot}
+
+
+def _rotation_stack(angles: np.ndarray, off_diagonal: complex) -> np.ndarray:
+    """[[c, w s], [-conj(w) s, c]], with c and s the cosine and sine of half
+    of each angle: Ry for w = -1, Rx for w = -1j."""
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    m = np.empty((len(angles), 2, 2), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1] = off_diagonal * s
+    m[:, 1, 0] = -np.conj(off_diagonal) * s
+    return m
+
+
+def _rz_stack(angles: np.ndarray) -> np.ndarray:
+    m = np.zeros((len(angles), 2, 2), dtype=complex)
+    m[:, 0, 0] = np.exp(-1j * angles / 2)
+    m[:, 1, 1] = np.exp(1j * angles / 2)
+    return m
+
+
+def _pattern_stack(angles: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+    c, s = np.cos(angles), np.sin(angles)
+    m = np.zeros((len(angles), size, size), dtype=complex)
+    m[:, range(size), range(size)] = 1
+    m[:, lo, lo] = m[:, hi, hi] = c
+    m[:, lo, hi] = s
+    m[:, hi, lo] = -s
+    return m
+
+
+# The matrices of gate_matrix, built the same way, for the (gates, angles)
+# array of one kind.
+_STACKS = {
+    RY: lambda a: _rotation_stack(a[:, 0], -1.0),
+    RZ: lambda a: _rz_stack(a[:, 0]),
+    PHASEDX: lambda a: _rz_stack(a[:, 1]) @ _rotation_stack(a[:, 0], -1j) @ _rz_stack(-a[:, 1]),
+    G2: lambda a: _pattern_stack(a[:, 0], 4, 0b01, 0b10),
+    G4: lambda a: _pattern_stack(a[:, 0], 16, 0b0011, 0b1100),
+}
+# Below this many gates of a kind, gate_matrix per gate is cheaper.
+_STACK_MIN = 8
+
+
 def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Apply a fully bound circuit to a copy of an input state (default all
     zeros)."""
@@ -93,14 +178,30 @@ def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
     if c.parameters:
         raise ValueError(f"circuit has unbound parameters {c.parameters}")
+    n = c.n_qubits
     if initial is None:
-        state = _zero_state(c.n_qubits)
+        state = _zero_state(n)
     else:
-        if initial.shape != (1 << c.n_qubits,):
+        if initial.shape != (1 << n,):
             raise ValueError("input register size mismatch")
         state = initial.astype(complex)
+    angles: dict[str, list] = {}
     for g in c.gates:
-        _apply_gate(state, c.n_qubits, g)
+        if g.params:
+            angles.setdefault(g.kind, []).append(g.params)
+    matrices = {
+        kind: iter(_STACKS[kind](np.array(p, dtype=float))).__next__
+        for kind, p in angles.items() if len(p) >= _STACK_MIN
+    }
+    for g in c.gates:
+        kind = g.kind
+        take = matrices.get(kind)
+        u = take() if take is not None else gate_matrix(kind, g.params)
+        kernel = None if g.controls else _DIRECT_KERNELS.get(kind)
+        if kernel is None:
+            _apply_matrix(state, n, u, g.targets, g.controls)
+        else:
+            kernel(state, n, g.targets, u)
     return state
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcprep import circuits
 from mcprep.algorithms import synthesize
 from mcprep.circuits import (
     CNOT,
@@ -330,6 +331,94 @@ def test_compile_is_a_fixed_point(gateset_name):
         twice = compile_circuit(once, gs)
         assert repr(twice.gates) == repr(once.gates)
         assert twice == once
+
+
+def cisd_spec(n_orbitals: int, n_electrons: int):
+    """Seeded amplitudes on the CISD space of a closed-shell reference."""
+    configs = generate_cisd_configs(n_orbitals, n_electrons)
+    rng = np.random.default_rng(100 * n_orbitals + n_electrons)
+    amplitudes = rng.standard_normal(len(configs))
+    return validate_spec(list(zip(amplitudes / np.linalg.norm(amplitudes), configs)))
+
+
+CISD_SIZES = ((3, 2), (4, 4), (5, 4), (6, 4))
+
+
+def corpus_specs(cisd_sizes=CISD_SIZES) -> list:
+    """The acceptance specs (the 4-qubit state and the six 8-qubit states)
+    and seeded CISD specs."""
+    # Imported here: tests.test_acceptance imports this module.
+    from tests.test_acceptance import BENCH_4Q, BENCH_8Q
+
+    specs = [validate_spec(BENCH_4Q)]
+    specs += [validate_spec(list(zip(coeffs, configs))) for coeffs, configs, _, _ in BENCH_8Q]
+    return specs + [cisd_spec(*size) for size in cisd_sizes]
+
+
+def full_fixed_point(c: Circuit, gs) -> Circuit:
+    """compile_circuit with the loop it had before it stopped early: rounds
+    repeat until one changes nothing, and every output record goes through
+    the validating constructors."""
+    rotations, runs = {}, {}
+    recs = []
+    for g in c.gates:
+        recs.extend(circuits._decompose((g.kind, g.targets, g.controls, g.params), gs, rotations))
+    for _ in range(10_000):
+        recs, changed, _ = circuits._peephole_pass(recs)
+        if gs.name == "zz":
+            recs, consolidated, _ = circuits._consolidate_1q_runs(recs, runs, [])
+            changed = changed or consolidated
+        if not changed:
+            return Circuit(c.n_qubits, tuple(Gate(*rec) for rec in recs))
+    raise AssertionError("no fixed point")
+
+
+def inverse_gate(g: Gate) -> Gate:
+    if g.kind in (X, CNOT, SWAP):
+        return g
+    if g.kind == PHASEDX:
+        return Gate(PHASEDX, g.targets, g.controls, (-g.params[0], g.params[1]))
+    return Gate(g.kind, g.targets, g.controls, (-g.params[0],))
+
+
+def cascade_circuit(rng) -> Circuit:
+    """Random gates around nested inverse cascades (A B B^-1 A^-1) and runs of
+    one rotation on one wire whose angles sum to a multiple of 2 pi."""
+    n = int(rng.integers(2, 5))
+    gates = []
+    for _ in range(int(rng.integers(1, 3))):
+        pick = rng.random()
+        if pick < 0.3:
+            gates += random_circuit(rng, n, int(rng.integers(1, 4))).gates
+        elif pick < 0.7:
+            a, b = ([g for g in random_circuit(rng, n, int(rng.integers(1, 4))).gates if g.kind != ZZMAX]
+                    for _ in range(2))
+            gates += a + b + [inverse_gate(g) for g in reversed(a + b)]
+        else:
+            wires = [int(q) for q in rng.permutation(n)]
+            kind = str(rng.choice([RY, RZ, PHASEDX] + ([G2] if n > 2 else [])))
+            targets = tuple(wires[:TARGET_ARITY[kind]])
+            controls = ((wires[-1], int(rng.integers(2))),) if rng.random() < 0.3 else ()
+            beta = float(rng.uniform(-3, 3))
+            angles = list(rng.uniform(-7, 7, int(rng.integers(1, 4))))
+            angles.append(2 * math.pi * int(rng.integers(-2, 3)) - sum(angles))
+            for angle in angles:
+                params = (float(angle), beta) if kind == PHASEDX else (float(angle),)
+                gates.append(Gate(kind, targets, controls, params))
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("gateset_name", ["cx", "zz"])
+def test_compile_stops_where_the_full_loop_stops(gateset_name):
+    # compile_circuit ends the loop without a confirming round when the last
+    # round provably left nothing to do; its output must be what the full
+    # loop gives, angle bits included.
+    gs = gateset_by_name(gateset_name)
+    rng = np.random.default_rng(61)
+    cases = [synthesize(spec, method) for spec in corpus_specs() for method in ("gr", "ssp")]
+    cases += [cascade_circuit(rng) for _ in range(1000)]
+    for c in cases:
+        assert repr(compile_circuit(c, gs)) == repr(full_fixed_point(c, gs)), c
 
 
 # (n_gates, two_qubit_total, depth) of each 8-qubit acceptance state, per

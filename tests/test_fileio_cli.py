@@ -8,9 +8,12 @@ import pytest
 
 from mcprep import cli, fileio
 from mcprep.algorithms import MAX_QCELS_SAMPLES
-from mcprep.circuits import CNOT, G2, PHASEDX, RY, Circuit, Gate
+from mcprep.algorithms import synthesize
+from mcprep.circuits import CNOT, G2, PHASEDX, RY, RZ, Circuit, Gate, compile_circuit, gateset_by_name
 from mcprep.configs import SpecValidationError, cisd_excitations, hartree_fock_config
 from mcprep.simulator import exact_spectrum, expectation, spec_state
+
+from tests.test_circuits import CISD_SIZES, corpus_specs, random_circuit
 
 SPEC_TEXT = "0.8 1100\n0.6 0110\n"
 
@@ -139,6 +142,77 @@ def test_circuit_json_angles_are_in_units_of_pi():
     rendered = json.loads(fileio.circuit_to_json(Circuit(1, (Gate(RY, (0,), (), (math.pi / 2,)),))))
     assert rendered["schema"] == fileio.CIRCUIT_SCHEMA
     assert rendered["gates"][0]["angle"] == 0.5
+
+
+def json_dumps_reference(c: Circuit) -> str:
+    """The circuit file as json.dumps(doc, indent=2) writes it."""
+    gates = []
+    for g in c.gates:
+        entry: dict = {"kind": g.kind, "targets": list(g.targets)}
+        if g.controls:
+            entry["controls"] = [[q, s] for q, s in g.controls]
+        turns = [p if isinstance(p, str) else float(p) / math.pi for p in g.params]
+        if len(turns) == 1:
+            entry["angle"] = turns[0]
+        elif turns:
+            entry["angle"] = turns
+        gates.append(entry)
+    doc = {"schema": fileio.CIRCUIT_SCHEMA, "n_qubits": c.n_qubits, "gates": gates}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def through_file(c: Circuit) -> Circuit:
+    """The circuit a file round trip gives: numeric angles pass through units
+    of pi."""
+    gates = tuple(
+        Gate(g.kind, g.targets, g.controls,
+             tuple(p if isinstance(p, str) else float(p) / math.pi * math.pi for p in g.params))
+        for g in c.gates
+    )
+    return Circuit(c.n_qubits, gates)
+
+
+def emitter_corpus():
+    """Raw and compiled circuits of the acceptance specs and CISD(3,2) to
+    (6,6), symbolic circuits with names JSON must escape, and random circuits
+    with signed-zero, subnormal, tiny and huge angles."""
+    # CISD(6,6) gr compiles to 274,000 (cx) and 440,000 (zz) gates, about 20 s
+    # with the reference encoder, so only its raw circuit is checked.
+    specs = corpus_specs((*CISD_SIZES, (6, 6)))
+    for index, spec in enumerate(specs):
+        for method in ("gr", "ssp"):
+            raw = synthesize(spec, method)
+            yield raw
+            if method == "gr" and index == len(specs) - 1:
+                continue
+            for name in ("cx", "zz"):
+                yield compile_circuit(raw, gateset_by_name(name))
+    names = ['theta"1', "a\\b", "\u03b8\u2081", "tab\there", "nl\n", "\U0001d703", "/"]
+    yield Circuit(3, (
+        Gate(RY, (0,), (), (names[0],)),
+        Gate(PHASEDX, (1,), ((0, 1),), (names[1], 0.25)),
+        Gate(PHASEDX, (2,), (), (-0.0, names[2])),
+        Gate(G2, (2, 0), ((1, 0),), (names[3],)),
+        Gate(G2, (0, 1), (), (names[4],)),
+        Gate(RY, (2,), ((0, 0), (1, 1)), (names[5],)),
+        Gate(RZ, (0,), (), (names[6],)),
+    ))
+    rng = np.random.default_rng(71)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e-13, -1e-13, 1e300, -1e300, math.pi, 2.5]
+    for _ in range(200):
+        c = random_circuit(rng, int(rng.integers(2, 6)), int(rng.integers(0, 12)))
+        yield Circuit(c.n_qubits, tuple(
+            Gate(g.kind, g.targets, g.controls,
+                 tuple(float(rng.choice(specials)) if rng.random() < 0.7 else p for p in g.params))
+            for g in c.gates
+        ))
+
+
+def test_circuit_to_json_writes_what_json_dumps_writes():
+    for c in emitter_corpus():
+        text = fileio.circuit_to_json(c)
+        assert text == json_dumps_reference(c)
+        assert fileio.circuit_from_json(text) == through_file(c)
 
 
 def test_circuit_json_rejections():
@@ -320,6 +394,23 @@ def test_cli_verify_rejects_unbound_parameters(tmp_path, capsys):
     assert code == 1
     assert report is None
     assert err.startswith("error: circuit has unbound parameters")
+
+
+@pytest.mark.parametrize("entry, message", [
+    # A misspelled "controls" would otherwise leave an uncontrolled X.
+    ({"kind": "X", "targets": [1], "control": [[0, 1]]}, "gate 0: unknown field 'control'"),
+    ({"kind": "X", "targets": [1], "angle": None}, "gate 0: X takes no angle"),
+])
+def test_cli_verify_rejects_unknown_fields_and_stray_angles(tmp_path, capsys, entry, message):
+    spec_path = write(tmp_path, "state.txt", "1.0 0100\n")
+    doc = {"schema": fileio.CIRCUIT_SCHEMA, "n_qubits": 4, "gates": [entry]}
+    circuit_path = write(tmp_path, "circuit.json", json.dumps(doc))
+
+    code = cli.main(["verify", "--spec", spec_path, "--circuit", circuit_path])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_cli_resources_reports_both_methods(tmp_path, capsys):

@@ -18,6 +18,7 @@ from mcprep.circuits import (
     X,
     ZZMAX,
     Circuit,
+    Gate,
     bind_parameters,
     cnot_gate,
     gate_matrix,
@@ -26,10 +27,12 @@ from mcprep.circuits import (
     x_gate,
     zzmax_gate,
 )
+from mcprep import simulator
 from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec
 from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
+    _apply_gate,
     _apply_matrix,
     circuit_unitary,
     energy_gradient,
@@ -116,6 +119,68 @@ def test_run_circuit_matches_unitary_action():
         out = run_circuit(c, initial)
         assert np.allclose(out, circuit_unitary(c) @ initial, atol=1e-12)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+def random_kind_circuit(rng, n: int) -> Circuit:
+    """Every kind that fits the register, each with 0 to 3 controls of mixed
+    states, plus runs of adjacent uncontrolled diagonal and permutation gates
+    (Rz, ZZMax, X, CNOT) on shared wires."""
+    gates = []
+    for _ in range(int(rng.integers(1, 40))):
+        fitting = [k for k in TARGET_ARITY if TARGET_ARITY[k] <= n]
+        kind = str(rng.choice(fitting))
+        wires = [int(q) for q in rng.permutation(n)]
+        targets = tuple(wires[:TARGET_ARITY[kind]])
+        spare = wires[TARGET_ARITY[kind]:]
+        k = int(rng.integers(0, min(3, len(spare)) + 1)) if rng.random() < 0.5 else 0
+        controls = tuple((q, int(rng.integers(2))) for q in spare[:k])
+        params = tuple(float(rng.uniform(-7, 7)) for _ in range(PARAM_ARITY[kind]))
+        gates.append(Gate(kind, targets, controls, params))
+        if rng.random() < 0.3:
+            for _ in range(int(rng.integers(2, 8))):
+                run_kind = str(rng.choice([k for k in (RZ, X, ZZMAX, CNOT) if TARGET_ARITY[k] <= n]))
+                pair = tuple(int(q) for q in rng.permutation(targets + tuple(spare))[:TARGET_ARITY[run_kind]])
+                angle = (float(rng.uniform(-7, 7)),) if run_kind == RZ else ()
+                gates.append(Gate(run_kind, pair, (), angle))
+    return Circuit(n, tuple(gates))
+
+
+def per_gate_state(c: Circuit, initial: np.ndarray) -> np.ndarray:
+    """The per-gate kernel of circuit_unitary, on one column."""
+    state = initial.astype(complex)
+    for g in c.gates:
+        _apply_gate(state, c.n_qubits, g)
+    return state
+
+
+@pytest.mark.parametrize("stack_min", [1, None])
+def test_run_circuit_direct_kernels_match_per_gate_kernel(monkeypatch, stack_min):
+    # run_circuit builds matrices per kind (for every kind when stack_min is
+    # 1) and applies uncontrolled Rz, ZZMax, X and CNOT by direct kernels;
+    # circuit_unitary keeps the per-gate kernel. Up to 8 qubits the oracle is
+    # circuit_unitary itself; above, its kernel runs on the one column, which
+    # keeps the 12-qubit case at 64 KB instead of a 256 MB matrix.
+    if stack_min is not None:
+        monkeypatch.setattr(simulator, "_STACK_MIN", stack_min)
+    rng = np.random.default_rng(53)
+    for n in range(1, 13):
+        for _ in range(12 if n <= 8 else 4):
+            c = random_kind_circuit(rng, n)
+            zero = np.zeros(1 << n, dtype=complex)
+            zero[0] = 1
+            if n <= 8:
+                u = circuit_unitary(c)
+                oracle, oracle_from = u[:, 0], u
+            else:
+                oracle, oracle_from = per_gate_state(c, zero), None
+            assert np.abs(run_circuit(c) - oracle).max() < 1e-13, (n, c)
+            initial = random_state(rng, n)
+            kept = initial.copy()
+            out = run_circuit(c, initial)
+            assert np.array_equal(initial, kept)
+            assert out is not initial
+            want = oracle_from @ initial if oracle_from is not None else per_gate_state(c, initial)
+            assert np.abs(out - want).max() < 1e-13, (n, c)
 
 
 def tensordot_apply(amps, n, u, targets, controls):
