@@ -37,8 +37,8 @@ class TauTooLarge(ValueError):
 NEAR_EIGENSTATE_VARIANCE = 1e-12
 DEGENERACY_TOLERANCE = 1e-12
 SYMMETRY_TOLERANCE = 1e-6
-# The dense QCELS path holds a samples x 2^n complex array: 64 MB at this cap
-# and 10 qubits.
+# QCELS on solved blocks holds a samples x rows complex array per block: 64 MB
+# at this cap and the largest such block, 2^10 rows.
 MAX_QCELS_SAMPLES = 4096
 # qcels_estimate scores a grid of this many energies per sample over one alias
 # period, then halves the two grid steps around the peak at most
@@ -342,9 +342,14 @@ class QcelsSeries:
     shift: float
 
 
+def _diagonalizable(h: PauliSum) -> bool:
+    """Whether QCELS solves the operator's blocks rather than evolving."""
+    return max(map(len, h.sectors)) <= 1 << MAX_DENSE_EIGEN_QUBITS
+
+
 def _spectral_range(h: PauliSum) -> float:
-    if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
-        values = h.eigensystem[0]
+    if _diagonalizable(h):
+        values = h.eigenvalues
         return float(values[-1] - values[0])
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -382,10 +387,15 @@ def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> 
     shift = h.identity_coefficient
     n = np.arange(n_samples)
 
-    if h.n_qubits <= MAX_DENSE_EIGEN_QUBITS:
-        values, vectors = h.eigensystem
-        weights = np.abs(vectors.conj().T @ state) ** 2
-        z = (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
+    if _diagonalizable(h):
+        # The state's weight on each eigenvector, from the blocks it touches.
+        z = np.zeros(n_samples, dtype=complex)
+        for indices in h.sectors:
+            amps = state[indices]
+            if amps.any():
+                values, vectors = np.linalg.eigh(h.block(indices))
+                weights = np.abs(vectors.conj().T @ amps) ** 2
+                z += (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
     else:
         z = np.empty(n_samples, dtype=complex)
         current = state

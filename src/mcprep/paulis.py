@@ -7,8 +7,11 @@ i**popcount(x & z) * X^x * Z^z, which makes every word Hermitian and maps
 popcount(x & z) to the number of Y letters.
 
 A sum is the package's one operator kernel: it groups its words by X-mask
-once, and its matrix-free, dense, subspace-block and sparse forms and its
-cached eigendecomposition all read those groups.
+once, and its matrix-free, dense, subspace-block and sparse forms all read
+those groups. So do its sectors, the blocks of basis states it never leaves:
+the Hamming-weight sectors when it conserves particle number, else one block
+over the whole register. Its cached spectrum is solved block by block,
+without eigenvectors.
 """
 from __future__ import annotations
 
@@ -16,6 +19,10 @@ import dataclasses
 import functools
 
 import numpy as np
+
+# Eigensolves refuse a block of more rows than this: a complex block of 2**12
+# rows holds 256 MiB. Conserving sums fit up to 14 qubits, C(14, 7) = 3432.
+MAX_EIGEN_BLOCK_ROWS = 1 << 12
 
 _LETTERS = "IXZY"  # index = (x_bit) + 2 * (z_bit)
 
@@ -178,12 +185,13 @@ class PauliSum:
 
     def block(self, indices: np.ndarray) -> np.ndarray:
         """Dense matrix over distinct basis states: entry (i, j) is
-        <indices[i]|H|indices[j]>."""
+        <indices[i]|H|indices[j]>; real when every diagonal is."""
+        masks, diagonals = self._groups
         pos = np.full(1 << self.n_qubits, -1)
         pos[indices] = np.arange(indices.size)
         cols = np.arange(indices.size)
-        out = np.zeros((indices.size, indices.size), dtype=complex)
-        for x, diagonal in zip(*self._groups):
+        out = np.zeros((indices.size, indices.size), dtype=diagonals.dtype)
+        for x, diagonal in zip(masks, diagonals):
             rows = pos[indices ^ x]
             inside = rows >= 0
             out[rows[inside], cols[inside]] = diagonal[indices[inside]]
@@ -218,12 +226,44 @@ class PauliSum:
         return self._csr
 
     @functools.cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvector columns of the dense matrix.
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Ascending basis indices of each block the sum never leaves.
+
+        These are the Hamming-weight sectors, by ascending weight, when every
+        nonzero entry links two states of equal weight; otherwise the whole
+        register is the one block. Words that cancel exactly, such as the XX
+        and YY of a hopping pair, can leave a rounding residue when other
+        words of their X-mask come between them, so an entry counts as zero
+        within the error bound of summing its group's m words, (m - 1) eps
+        times their summed absolute coefficients.
+        """
+        count: dict[int, int] = {}
+        size: dict[int, float] = {}
+        for word, coeff in self._terms.items():
+            count[word.x_mask] = count.get(word.x_mask, 0) + 1
+            size[word.x_mask] = size.get(word.x_mask, 0.0) + abs(coeff)
+        indices = np.arange(1 << self.n_qubits)
+        weight = sum((indices >> k) & 1 for k in range(self.n_qubits))
+        for x, diagonal in zip(*self._groups):
+            bound = (count[x] - 1) * np.finfo(float).eps * size[x]
+            linked = indices[np.abs(diagonal) > bound]
+            if (weight[linked] != weight[linked ^ x]).any():
+                return (indices,)
+        edges = np.cumsum(np.bincount(weight))[:-1]
+        return tuple(np.split(np.argsort(weight, kind="stable"), edges))
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, solved block by block without eigenvectors.
 
         Computed once per sum and shared by every caller, hence read-only.
         """
-        values, vectors = np.linalg.eigh(self.matrix())
+        rows = max(map(len, self.sectors))
+        if rows > MAX_EIGEN_BLOCK_ROWS:
+            raise ValueError(
+                f"the {self.n_qubits}-qubit operator's largest block has {rows} rows, "
+                f"beyond the eigensolve budget of {MAX_EIGEN_BLOCK_ROWS}"
+            )
+        values = np.sort(np.concatenate([np.linalg.eigvalsh(self.block(s)) for s in self.sectors]))
         values.flags.writeable = False
-        vectors.flags.writeable = False
-        return values, vectors
+        return values

@@ -37,7 +37,10 @@ from .paulis import PauliSum
 
 MAX_SIM_QUBITS = 16
 MAX_UNITARY_QUBITS = 12
-MAX_DENSE_EIGEN_QUBITS = 10  # QCELS and exact references read h.eigensystem up to here
+# QCELS diagonalizes the blocks of an operator whose largest block has at most
+# 2**this many rows; vqe and qcels reports add the exact ground energy up to
+# this many qubits.
+MAX_DENSE_EIGEN_QUBITS = 10
 MAX_SPECTRUM_QUBITS = 14
 MAX_MOMENT_ORDER = 8
 
@@ -313,7 +316,7 @@ def exact_spectrum(h: PauliSum) -> np.ndarray:
     """Ascending eigenvalues of the operator, read-only."""
     if h.n_qubits > MAX_SPECTRUM_QUBITS:
         raise ValueError(f"{h.n_qubits} qubits exceeds spectrum budget {MAX_SPECTRUM_QUBITS}")
-    return h.eigensystem[0]
+    return h.eigenvalues
 
 
 def subspace_matrix(h: PauliSum, configs) -> np.ndarray:

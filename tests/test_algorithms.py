@@ -35,10 +35,11 @@ from mcprep.configs import (
     validate_spec,
 )
 from mcprep.givens import synthesize_gr
-from mcprep.paulis import PauliSum, PauliWord
+from mcprep.paulis import PauliSum, PauliWord, apply_word
 from mcprep.simulator import (
     MAX_DENSE_EIGEN_QUBITS,
     energy_gradient,
+    evolve,
     exact_spectrum,
     expectation,
     moments,
@@ -47,7 +48,8 @@ from mcprep.simulator import (
     subspace_matrix,
 )
 
-from tests.test_simulator import basis_state
+from tests.test_paulis import conserving_sum
+from tests.test_simulator import basis_state, random_state
 
 
 def random_sum(rng, n: int, terms: int) -> PauliSum:
@@ -123,7 +125,7 @@ def test_cumulants_input_validation():
 def test_eigenstate_cumulants_vanish_and_short_circuit():
     rng = np.random.default_rng(71)
     h = random_sum(rng, 4, 8)
-    values, vectors = h.eigensystem
+    values, vectors = np.linalg.eigh(h.matrix())
     k = int(rng.integers(0, 16))
     state = vectors[:, k]
     c = cumulants(moments(state, h, 4))
@@ -140,7 +142,7 @@ def test_qcm4_recovers_lower_energy_of_two_point_support():
     while done < 30:
         n = int(rng.integers(2, 6))
         h = random_sum(rng, n, 6)
-        values, vectors = h.eigensystem
+        values, vectors = np.linalg.eigh(h.matrix())
         i, j = sorted(rng.choice(1 << n, size=2, replace=False))
         if values[j] - values[i] < 0.1:
             continue
@@ -332,7 +334,7 @@ def test_qcels_recovers_eigenvalue_from_eigenstate():
     for _ in range(5):
         n = int(rng.integers(2, 5))
         h = random_sum(rng, n, 6)
-        values, vectors = h.eigensystem
+        values, vectors = np.linalg.eigh(h.matrix())
         k = int(rng.integers(0, 1 << n))
         state = vectors[:, k].astype(complex)
         spread = values[-1] - values[0]
@@ -387,6 +389,69 @@ def test_qcels_sparse_series_matches_eigendecomposition():
     assert np.abs(series.values - expected).max() < 1e-9
 
 
+def two_sector_state(rng, n: int) -> np.ndarray:
+    """Random normalized state on the sectors of weight 1 and n // 2."""
+    weight = sum((np.arange(1 << n) >> k) & 1 for k in range(n))
+    amps = np.where((weight == 1) | (weight == n // 2), random_state(rng, n), 0)
+    return amps / np.linalg.norm(amps)
+
+
+def test_qcels_sector_series_matches_dense_eigensystem():
+    rng = np.random.default_rng(80)
+    for n in (2, 5, 8, 10):
+        h = conserving_sum(rng, n)
+        assert len(h.sectors) == n + 1
+        state = two_sector_state(rng, n)
+        values, vectors = np.linalg.eigh(h.matrix())
+        tau = 0.9 * 2 * math.pi / (values[-1] - values[0])
+        series = qcels_series(state, h, tau, 12)
+        weights = np.abs(vectors.conj().T @ state) ** 2
+        steps = np.arange(12) * tau
+        shifted = values - series.shift
+        expected = (weights[None, :] * np.exp(-1j * np.outer(steps, shifted))).sum(axis=1)
+        assert np.abs(series.values - expected).max() < 1e-10
+
+
+def test_qcels_sector_series_matches_evolution_above_ten_qubits():
+    # Conserving sums keep every block within 2^10 rows up to 12 qubits,
+    # C(12, 6) = 924, so QCELS solves blocks where it used to evolve.
+    rng = np.random.default_rng(81)
+    for n in (11, 12):
+        h = number_conserving_hamiltonian(rng, n)
+        assert max(map(len, h.sectors)) == math.comb(n, n // 2)
+        state = two_sector_state(rng, n)
+        tau = 0.9 * math.pi / sum(abs(c) for c, _ in h.terms())
+        series = qcels_series(state, h, tau, 6)
+        current, expected = state, [1.0]
+        for _ in range(5):
+            current = evolve(current, h, tau)
+            expected.append(np.vdot(state, current))
+        assert np.abs(series.values - np.array(expected)).max() < 1e-10
+
+
+def test_qcels_krylov_series_matches_commuting_product():
+    # XY and a lone X break particle number, so the sum is one block of 2^11
+    # rows and QCELS evolves the state. Words on disjoint qubits commute, so
+    # exp(-i H t) is the product of cos(c t) - i sin(c t) P over the words.
+    rng = np.random.default_rng(82)
+    n = 11
+    letters = ["XYZ" + "I" * 8, "III" + "YYX" + "I" * 5, "I" * 6 + "ZXY" + "II", "I" * 9 + "XZ"]
+    coeffs = rng.uniform(0.5, 1.5, len(letters))
+    h = PauliSum.from_terms([*zip(coeffs, letters), (0.75, "I" * n)], n)
+    assert [len(s) for s in h.sectors] == [1 << n]
+    state = random_state(rng, n)
+    tau = 0.9 * math.pi / coeffs.sum()
+    series = qcels_series(state, h, tau, 6)
+    assert series.shift == 0.75
+    words = [PauliWord.from_string(text) for text in letters]
+    for k in range(6):
+        image = state
+        for c, word in zip(coeffs, words):
+            angle = c * tau * k
+            image = math.cos(angle) * image - 1j * math.sin(angle) * apply_word(word, image)
+        assert abs(series.values[k] - np.vdot(state, image)) < 1e-10
+
+
 def _spread(h: PauliSum) -> float:
     values = exact_spectrum(h)
     return float(values[-1] - values[0])
@@ -396,7 +461,7 @@ def test_qcels_restores_identity_shift():
     rng = np.random.default_rng(77)
     base = random_sum(rng, 3, 5)
     shifted = PauliSum.from_terms(base.terms() + [(17.5, "III")], 3)
-    values, vectors = base.eigensystem
+    values, vectors = np.linalg.eigh(base.matrix())
     state = vectors[:, 0].astype(complex)
     tau = 0.8 * 2 * math.pi / _spread(base)
     series = qcels_series(state, shifted, tau, 24)

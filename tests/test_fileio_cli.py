@@ -688,15 +688,38 @@ def test_cli_spectrum(tmp_path, capsys):
 def test_cli_reports_out_of_memory_as_error(tmp_path, capsys, monkeypatch):
     # A dense eigensolve too large for the process's address space raises
     # MemoryError; it must end on the error contract, not a traceback.
-    def eigh(matrix):
+    def out_of_memory(matrix):
         raise MemoryError("Unable to allocate 1.00 GiB for an array")
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, out_of_memory)
     ham_path = write(tmp_path, "h.txt", HAM_TEXT)
     code, report, err = run_cli(capsys, ["spectrum", "--hamiltonian", ham_path])
     assert code == 1
     assert report is None
     assert err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+
+
+def test_cli_spectrum_rejects_oversized_operators_before_solving(tmp_path, capsys, monkeypatch):
+    # A non-conserving operator is one block over the whole register; at 13
+    # qubits that block alone would take 1 GiB, so it must be refused before
+    # any eigensolver runs.
+    def no_solve(matrix):
+        pytest.fail("an oversized operator reached an eigensolver")
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, no_solve)
+    cases = [
+        ("1.0 " + "Z" * 13 + "\n0.5 XX" + "I" * 11 + "\n",
+         "the 13-qubit operator's largest block has 8192 rows, beyond the eigensolve budget of 4096"),
+        ("1.0 " + "Z" * 15 + "\n", "15 qubits exceeds spectrum budget 14"),
+    ]
+    for text, message in cases:
+        ham_path = write(tmp_path, "h.txt", text)
+        code, report, err = run_cli(capsys, ["spectrum", "--hamiltonian", ham_path])
+        assert code == 1
+        assert report is None
+        assert err == f"error: {message}\n"
 
 
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):

@@ -115,6 +115,22 @@ def structured_terms(rng, n: int) -> dict[PauliWord, float]:
     return terms
 
 
+def conserving_sum(rng, n: int) -> PauliSum:
+    """Random particle-number-conserving sum: I/Z words, and between random
+    pairs of qubits the real hopping XX + YY and the imaginary one XY - YX,
+    with random I/Z letters on the other qubits."""
+    pairs = [(float(rng.standard_normal()), "".join(rng.choice(list("IZ"), n))) for _ in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False)
+        middle = list(rng.choice(list("IZ"), n))
+        a, b = rng.standard_normal(2)
+        for coeff, (p, q) in ((a, "XX"), (a, "YY"), (b, "XY"), (-b, "YX")):
+            word = middle.copy()
+            word[i], word[j] = p, q
+            pairs.append((float(coeff), "".join(word)))
+    return PauliSum.from_terms(pairs, n)
+
+
 def test_sum_apply_and_matrix_agree():
     """apply, matrix and sparse_matrix against the Kronecker sum of the words
     in insertion order, which matrix must reproduce exactly."""
@@ -150,11 +166,43 @@ def test_x_plus_z_squares_to_twice_identity():
     amps = np.array([0.6, 0.8j])
     assert np.allclose(h.apply(h.apply(amps)), 2 * amps, atol=1e-15)
     assert np.allclose(h.matrix() @ h.matrix(), 2 * np.eye(2), atol=1e-15)
-    values, vectors = h.eigensystem
+    values = h.eigenvalues
     assert np.allclose(values, [-np.sqrt(2), np.sqrt(2)], atol=1e-15)
-    assert h.eigensystem is h.eigensystem
+    assert h.eigenvalues is values
     with pytest.raises(ValueError):
         values[0] = 0.0  # shared by every caller, so read-only
+
+
+def test_sectors_split_only_weight_keeping_sums():
+    hopping = PauliSum.from_terms([(0.5, "XXI"), (0.5, "YYI"), (1.0, "IZZ")])
+    assert [s.tolist() for s in hopping.sectors] == [[0], [1, 2, 4], [3, 5, 6], [7]]
+    assert hopping.block(hopping.sectors[1]).dtype == float
+    # Each of these links states of different weight, so the whole register
+    # is one block, however small the entry.
+    for pairs in ([(0.5, "XXI"), (-0.5, "YYI")], [(1e-300, "XII")], [(1.0, "XYI")]):
+        h = PauliSum.from_terms(pairs + [(1.0, "IZZ")])
+        assert len(h.sectors) == 1
+        assert h.sectors[0].tolist() == list(range(8))
+    # 0.1 + 0.2 - 0.1 - 0.2 leaves 2.8e-17 where XX and YY cancel, which must
+    # not depend on the order of the words.
+    for order in ((0, 1, 2, 3), (0, 2, 1, 3)):
+        pairs = [(0.1, "XXI"), (0.1, "YYI"), (0.2, "XXZ"), (0.2, "YYZ")]
+        h = PauliSum.from_terms([pairs[k] for k in order])
+        assert [s.tolist() for s in h.sectors] == [s.tolist() for s in hopping.sectors]
+    complex_hopping = PauliSum.from_terms([(0.5, "XYI"), (-0.5, "YXI"), (1.0, "IZZ")])
+    assert len(complex_hopping.sectors) == 4
+    block = complex_hopping.block(complex_hopping.sectors[1])
+    assert block.dtype == complex and block.imag.any()
+
+
+def test_eigenvalues_match_dense_eigvalsh():
+    rng = np.random.default_rng(14)
+    for n in range(1, 11):
+        conserving = conserving_sum(rng, n)
+        assert len(conserving.sectors) == n + 1
+        for h in (conserving, random_sum(rng, n, 2 * n)):
+            dense = np.linalg.eigvalsh(h.matrix())
+            assert np.abs(h.eigenvalues - dense).max() < 1e-10
 
 
 def test_sparse_matrix_is_assembled_once_and_read_only():

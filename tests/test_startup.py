@@ -28,6 +28,10 @@ SPEC_4Q = "0.8 1100\n0.6 0110\n"
 HAM_4Q = "-0.5 ZIII\n0.25 IZII\n0.3 ZZII\n0.35 XIXI\n0.35 YIYI\n0.15 IXIX\n0.15 IYIY\n"
 SPEC_8Q = "0.8 11000000\n0.6 10010000\n"
 HAM_8Q = "-0.5 ZIIIIIII\n0.25 IIIZIIII\n0.2 ZIIZIIII\n0.3 XIIXIIII\n0.3 YIIYIIII\n"
+# The 8-qubit pair padded to 12 qubits: the operator conserves particle
+# number, so QCELS solves its 66-row two-particle block and needs no scipy.
+SPEC_12Q = "".join(f"{line}0000\n" for line in SPEC_8Q.splitlines())
+HAM_12Q = "".join(f"{line}IIII\n" for line in HAM_8Q.splitlines())
 
 
 def run_fresh(argvs):
@@ -43,7 +47,8 @@ def run_fresh(argvs):
 
 def inputs(tmp_path):
     paths = {}
-    for name, text in (("spec4", SPEC_4Q), ("ham4", HAM_4Q), ("spec8", SPEC_8Q), ("ham8", HAM_8Q)):
+    for name, text in (("spec4", SPEC_4Q), ("ham4", HAM_4Q), ("spec8", SPEC_8Q), ("ham8", HAM_8Q),
+                       ("spec12", SPEC_12Q), ("ham12", HAM_12Q)):
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
     paths["circuit"] = tmp_path / "circuit.json"
@@ -62,7 +67,8 @@ def test_commands_without_optimizer_start_without_scipy(tmp_path):
         ["sceom", "--hamiltonian", p["ham4"], "--orbitals", "2", "--electrons", "2",
          "--element-resources"],
         ["qcels", "--spec", p["spec8"], "--hamiltonian", p["ham8"], "--tau", "0.5"],
+        ["qcels", "--spec", p["spec12"], "--hamiltonian", p["ham12"], "--tau", "0.5"],
         ["vqe", "--spec", p["spec4"], "--hamiltonian", p["ham4"], "--restarts", "1"],
     ])
-    assert result["codes"] == [0] * 9
+    assert result["codes"] == [0] * 10
     assert result["scipy"] == []
