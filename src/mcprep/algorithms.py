@@ -334,8 +334,9 @@ def vqe_minimize(
 
 @dataclasses.dataclass(frozen=True)
 class QcelsSeries:
-    """Overlap samples Z_n = <psi| exp(-i H_c tau n) |psi> for the trace-
-    centered Hamiltonian H_c; `shift` restores the original zero of energy."""
+    """Overlap samples Z_n = <psi| exp(-i (H - shift) tau n) |psi>, where
+    `shift` is the middle of H's spectral range; adding it back restores the
+    original zero of energy."""
 
     tau: float
     values: np.ndarray
@@ -347,10 +348,11 @@ def _diagonalizable(h: PauliSum) -> bool:
     return max(map(len, h.sectors)) <= 1 << MAX_DENSE_EIGEN_QUBITS
 
 
-def _spectral_range(h: PauliSum) -> float:
+def _spectral_range(h: PauliSum) -> tuple[float, float]:
+    """The lowest and the highest eigenvalue of h."""
     if _diagonalizable(h):
         values = h.eigenvalues
-        return float(values[-1] - values[0])
+        return float(values[0]), float(values[-1])
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     sparse = h.sparse_matrix()
@@ -361,10 +363,11 @@ def _spectral_range(h: PauliSum) -> float:
         raise ValueError(
             f"spectral range of the {h.n_qubits}-qubit operator did not converge"
         ) from err
-    return float(high.real - low.real)
+    return float(low.real), float(high.real)
 
 
-def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
+def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> tuple[float, float]:
+    """Check the sampling arguments; returns h's spectral range."""
     if not 2 <= n_samples <= MAX_QCELS_SAMPLES:
         raise ValueError(f"samples must run from 2 to {MAX_QCELS_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tau) and tau > 0):
@@ -376,15 +379,19 @@ def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> None:
             f"{bracket:.3g} cannot shrink below {_QCELS_BRACKET_TOL:g} in "
             f"{_QCELS_BISECTIONS} halvings"
         )
-    spread = _spectral_range(h)
-    if spread > 0 and tau >= 2 * math.pi / spread:
-        raise TauTooLarge(f"step {tau} aliases spectral range {spread:.6g}")
+    low, high = _spectral_range(h)
+    if high > low and tau >= 2 * math.pi / (high - low):
+        raise TauTooLarge(f"step {tau} aliases spectral range {high - low:.6g}")
+    return low, high
 
 
 def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
-    """Sample the autocorrelation of a state under centered time evolution."""
-    _validate_series_args(h, tau, n_samples)
-    shift = h.identity_coefficient
+    """Sample the autocorrelation of a state under time evolution by
+    H - shift, with shift the middle of H's spectral range. So the search
+    window [shift - pi/tau, shift + pi/tau) of qcels_estimate holds every
+    energy whenever the spread is below 2 pi/tau, which the check demands."""
+    low, high = _validate_series_args(h, tau, n_samples)
+    shift = (low + high) / 2
     n = np.arange(n_samples)
 
     if _diagonalizable(h):

@@ -20,7 +20,6 @@ to units of pi at the file boundary (see fileio).
 """
 from __future__ import annotations
 
-import bisect
 import collections
 import dataclasses
 import functools
@@ -616,8 +615,9 @@ def _decompose(rec: tuple, gateset: GateSet, memo: dict) -> list[tuple]:
 def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
     """Expand one gate into the target set, eliminating all extra controls.
 
-    A test hook, not a program path: compile_circuit also simplifies, so the
-    tests check each template alone, before simplification, through this.
+    A test hook, not a program path: compile_circuit runs the peephole pass
+    (and, for zz, consolidation) on the same expansion, so the tests check
+    each template alone, before simplification, through this.
     """
     if g.symbols:
         raise UnboundParameterError(f"unbound parameters {g.symbols} on {g.kind}")
@@ -640,83 +640,55 @@ def _null_rotation(rec: tuple) -> bool:
     return kind in _ROTATIONS and abs(math.remainder(float(params[0]), 2 * math.pi)) < _NULL_EPS
 
 
-def _merged(prev: tuple, rec: tuple) -> tuple | None:
+def _combined(prev: tuple, rec: tuple) -> tuple | None:
+    """What replaces prev, the latest kept record on rec's wires, when rec
+    follows it: the merged rotation, () when the pair cancels or merges to a
+    null angle, or None when no rule combines them. Every rule needs the same
+    targets in the same order."""
     kind, targets, controls, params = rec
     if prev[0] != kind or prev[1] != targets:
         return None
-    if kind in (RY, RZ):
-        return (kind, targets, controls, (float(prev[3][0]) + float(params[0]),))
-    if kind == PHASEDX and prev[3][1] == params[1]:
-        return (kind, targets, controls, (float(prev[3][0]) + float(params[0]), prev[3][1]))
-    return None
+    if kind in _SELF_INVERSE:
+        return ()
+    # PhasedX merges only with the same second angle, beta.
+    if kind not in _ROTATIONS or prev[3][1:] != params[1:]:
+        return None
+    merged = (kind, targets, controls, (float(prev[3][0]) + float(params[0]), *prev[3][1:]))
+    return () if _null_rotation(merged) else merged
 
 
-def _combines(prev: tuple | None, rec: tuple) -> bool:
-    """Whether the pass cancels or merges rec into prev, the latest record on
-    its wires. Both need the same targets in the same order."""
-    return prev is not None and prev[1] == rec[1] and (
-        rec[0] in _SELF_INVERSE and prev[0] == rec[0] or _merged(prev, rec) is not None
-    )
+def _peephole_pass(recs: list[tuple]) -> list[tuple]:
+    """Null elision, self-inverse cancellation and same-axis merging in one
+    left-to-right pass whose output is a fixed point of all three rules.
 
-
-def _latest_kept(out: list, on_wire: dict, wires: tuple) -> tuple | None:
-    latest = -1
-    for q in wires:
-        for idx in reversed(on_wire[q]):
-            if out[idx] is not None:
-                latest = max(latest, idx)
-                break
-    return out[latest] if latest >= 0 else None
-
-
-def _peephole_pass(recs: list[tuple]) -> tuple[list[tuple], bool, list[int]]:
-    """One left-to-right simplification pass. Returns the records, whether the
-    pass changed them, and the positions of the records a second pass would
-    combine with the record before them.
-
-    A second pass can only differ where a record was compared against one
-    deleted earlier in the pass: it then meets the latest kept record behind
-    the deleted one, and the pass checks whether the two would combine.
+    Each wire keeps a stack of the positions of its kept records. A record
+    combines only with an earlier one on the same targets, which is then the
+    top of every one of their wires' stacks; when the pair cancels, or merges
+    to a null angle, that record is popped off them. So every record meets
+    the latest kept record on its wires.
     """
     out: list[tuple | None] = []
     on_wire: dict[int, list[int]] = collections.defaultdict(list)
-    changed = False
-    pending = []
     for rec in recs:
         if _null_rotation(rec):
-            changed = True
             continue
         wires = rec[1]
         if len(wires) == 1:
-            seen = on_wire[wires[0]]
-            prev_idx = seen[-1] if seen else -1
+            stack = on_wire[wires[0]]
+            prev_idx = stack[-1] if stack else -1
         else:
-            prev_idx = max([seen[-1] if (seen := on_wire[q]) else -1 for q in wires])
-        if prev_idx >= 0:
-            prev = out[prev_idx]
-            if prev is None:
-                if _combines(_latest_kept(out, on_wire, wires), rec):
-                    pending.append(len(out))
-            elif prev[1] == wires:
-                if rec[0] in _SELF_INVERSE and prev[0] == rec[0]:
-                    out[prev_idx] = None
-                    changed = True
-                    continue
-                merged = _merged(prev, rec)
-                if merged is not None:
-                    out[prev_idx] = None if _null_rotation(merged) else merged
-                    changed = True
-                    continue
+            prev_idx = max([stack[-1] if (stack := on_wire[q]) else -1 for q in wires])
+        if prev_idx >= 0 and (combined := _combined(out[prev_idx], rec)) is not None:
+            out[prev_idx] = combined or None
+            if not combined:
+                for q in wires:
+                    on_wire[q].pop()
+            continue
         idx = len(out)
         out.append(rec)
         for q in wires:
             on_wire[q].append(idx)
-    if pending:
-        # A pending record deleted later in the pass leaves its successors to
-        # be compared against it, and they were checked in turn.
-        deleted = [idx for idx, rec in enumerate(out) if rec is None]
-        pending = [idx - bisect.bisect_left(deleted, idx) for idx in pending if out[idx] is not None]
-    return [rec for rec in out if rec is not None], changed, pending
+    return [rec for rec in out if rec is not None]
 
 
 def _run_matrix(run: list[tuple]) -> np.ndarray:
@@ -726,79 +698,65 @@ def _run_matrix(run: list[tuple]) -> np.ndarray:
     return acc
 
 
-def _run_body(run: list[tuple], memo: dict) -> tuple[list[tuple[str, tuple]], bool]:
+def _run_body(run: list[tuple], memo: dict) -> list[tuple[str, tuple]]:
     """The (kind, params) of at most PhasedX + Rz for a run of one-qubit
-    records on one wire, and whether replacing the run by it leaves nothing
-    for a later round: the body is not shorter (so it is not used), or it is
-    not empty and a second consolidation would not shorten it. `memo` maps
-    the run's kinds and exact angle bits (-0.0 is not 0.0 here) to both, for
-    one compilation."""
+    records on one wire. A two-gate body that replaces a longer run is
+    consolidated once more, in case that drops a gate. `memo` maps the run's
+    kinds and exact angle bits (-0.0 is not 0.0 here) to the body, for one
+    compilation."""
     kinds, angles = [], []
     for kind, _, _, params in run:
         kinds.append(kind)
         angles.extend(params)
     key = (tuple(kinds), struct.pack(f"{len(angles)}d", *angles))
-    entry = memo.get(key)
-    if entry is None:
+    body = memo.get(key)
+    if body is None:
         body = _emit_zz_1q(_run_matrix(run))
-        final = len(body) >= len(run) or len(body) == 1
         if len(body) == 2 < len(run):
-            final = len(_emit_zz_1q(_run_matrix([(kind, (), (), p) for kind, p in body]))) == 2
-        entry = memo[key] = (body, final)
-    return entry
+            again = _emit_zz_1q(_run_matrix([(kind, (), (), p) for kind, p in body]))
+            if len(again) < 2:
+                body = again
+        memo[key] = body
+    return body
 
 
-def _consolidate_1q_runs(
-    recs: list[tuple], memo: dict, pending: list[int]
-) -> tuple[list[tuple], bool, bool]:
+def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> list[tuple]:
     """Replace runs of adjacent one-qubit gates on a wire by at most
-    PhasedX + Rz whenever that shortens the circuit. Returns the records,
-    whether any run was replaced, and whether the next round would change
-    nothing: every record at a `pending` position (see _peephole_pass) was
-    replaced, no run became empty, and no two-gate replacement would be
-    replaced again.
+    PhasedX + Rz whenever that shortens the circuit.
 
-    A replacement's angles are not null, and its neighbours on its wire are
-    two-qubit gates, so the next peephole pass leaves it as it is.
+    Run once, after the peephole pass, it leaves a fixed point of every rule:
+    a replacement's angles are not null, and its neighbours on its wire are
+    ZZMax gates, which no rule combines.
     """
     runs: dict[int, list[int]] = {}
     finished: list[list[int]] = []
     for idx, (_, wires, _, _) in enumerate(recs):
         if len(wires) == 1:
-            run = runs.get(wires[0])
-            if run is None:
-                runs[wires[0]] = [idx]
-            else:
-                run.append(idx)
+            runs.setdefault(wires[0], []).append(idx)
         else:
-            for q in wires:
-                if q in runs:
-                    finished.append(runs.pop(q))
+            finished.extend(runs.pop(q) for q in wires if q in runs)
     finished.extend(runs.values())
 
     replacements: dict[int, list[tuple]] = {}
     removed: set[int] = set()
-    settled = True
     for run in finished:
         if len(run) < 2:
             continue
-        body, final = _run_body([recs[idx] for idx in run], memo)
+        body = _run_body([recs[idx] for idx in run], memo)
         if len(body) < len(run):
             q = recs[run[0]][1][0]
             replacements[run[0]] = [(kind, (q,), (), params) for kind, params in body]
             removed.update(run)
-            settled = settled and final
 
-    settled = settled and removed.issuperset(pending)
     if not replacements:
-        return recs, False, settled
+        return recs
     out = []
     for idx, rec in enumerate(recs):
         if idx not in removed:
             out.append(rec)
         elif idx in replacements:
             out.extend(replacements[idx])
-    return out, True, settled
+    return out
 
 
 def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
@@ -818,14 +776,11 @@ def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
 def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     """Expand every gate into the target set, then simplify to a fixed point.
 
-    Simplification: zero-angle elision, adjacent self-inverse cancellation and
-    same-axis rotation merging (wire-adjacency aware), plus one-qubit run
-    consolidation for the ZZ-native set. Preserves the unitary up to a global
-    phase. Rounds of simplification repeat while the last one changed the
-    records and may have left work for the next: a record that would combine
-    with the one behind a deleted record, an emptied run, or a replacement
-    that would shrink again. So no round is spent confirming a fixed point
-    the last round provably reached.
+    Simplification is one peephole pass (zero-angle elision, adjacent
+    self-inverse cancellation and same-axis rotation merging, wire-adjacency
+    aware) and, for the ZZ-native set, one consolidation of one-qubit runs.
+    Each stage leaves nothing for a second one to do. Preserves the unitary
+    up to a global phase.
     """
     if c.parameters:
         raise UnboundParameterError(f"compile needs bound angles; free: {c.parameters}")
@@ -833,18 +788,9 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     recs: list[tuple] = []
     for g in c.gates:
         recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset, rotations))
-    runs: dict = {}
-    for _ in range(10_000):
-        recs, changed, pending = _peephole_pass(recs)
-        if gateset.name == "zz":
-            recs, consolidated, settled = _consolidate_1q_runs(recs, runs, pending)
-            changed = changed or consolidated
-        else:
-            settled = not pending
-        if not changed or settled:
-            break
-    else:
-        raise RuntimeError("simplification did not reach a fixed point")
+    recs = _peephole_pass(recs)
+    if gateset.name == "zz":
+        recs = _consolidate_1q_runs(recs, {})
     for rec in recs:
         if rec[0] not in gateset.kinds or rec[2]:
             raise RuntimeError(f"gate {Gate(*rec)} escaped compilation to {gateset.name}")

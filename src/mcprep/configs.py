@@ -230,7 +230,7 @@ class StateSpec:
         return StateSpec(tuple(order), self.n_q)
 
 
-def validate_spec(entries, n_q: int | None = None) -> StateSpec:
+def validate_spec(entries) -> StateSpec:
     """Check and canonicalize a list of (coefficient, configuration) pairs.
 
     Near-zero coefficients are dropped, the norm is checked against
@@ -252,8 +252,6 @@ def validate_spec(entries, n_q: int | None = None) -> StateSpec:
     if len(lengths) > 1:
         raise SpecValidationError(f"mixed register sizes: {sorted(lengths)}")
     width = lengths.pop()
-    if n_q is not None and n_q != width:
-        raise SpecValidationError(f"register size {width} does not match requested {n_q}")
 
     pairs = [(c, x) for c, x in pairs if abs(c) >= PRUNE_THRESHOLD]
     if not pairs:

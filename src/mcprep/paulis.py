@@ -150,10 +150,6 @@ class PauliSum:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    @property
-    def identity_coefficient(self) -> float:
-        return self._terms.get(PauliWord(0, 0, self.n_qubits), 0.0)
-
     @functools.cached_property
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:
         """X-masks and diagonals with H[c ^ masks[g], c] = diagonals[g, c].

@@ -384,9 +384,10 @@ def test_qcels_sparse_series_matches_eigendecomposition():
     series = qcels_series(amps, h, tau, 8)
     weights = np.abs(vectors.conj().T @ coeffs) ** 2
     steps = np.arange(8) * tau
-    expected = (weights[None, :] * np.exp(-1j * np.outer(steps, values - 2.5))).sum(axis=1)
-    assert series.shift == 2.5
-    assert np.abs(series.values - expected).max() < 1e-9
+    expected = (weights[None, :] * np.exp(-1j * np.outer(steps, values))).sum(axis=1)
+    spectrum = exact_spectrum(h)
+    assert series.shift == (spectrum[0] + spectrum[-1]) / 2
+    assert np.abs(series.values * np.exp(-1j * series.shift * steps) - expected).max() < 1e-9
 
 
 def two_sector_state(rng, n: int) -> np.ndarray:
@@ -426,7 +427,8 @@ def test_qcels_sector_series_matches_evolution_above_ten_qubits():
         for _ in range(5):
             current = evolve(current, h, tau)
             expected.append(np.vdot(state, current))
-        assert np.abs(series.values - np.array(expected)).max() < 1e-10
+        unshifted = series.values * np.exp(-1j * series.shift * tau * np.arange(6))
+        assert np.abs(unshifted - np.array(expected)).max() < 1e-10
 
 
 def test_qcels_krylov_series_matches_commuting_product():
@@ -442,14 +444,17 @@ def test_qcels_krylov_series_matches_commuting_product():
     state = random_state(rng, n)
     tau = 0.9 * math.pi / coeffs.sum()
     series = qcels_series(state, h, tau, 6)
-    assert series.shift == 0.75
+    # Each word has eigenvalues +-1, so the spectrum is symmetric about 0.75.
+    assert series.shift == pytest.approx(0.75, abs=1e-9)
+    # The product leaves out the identity word's phase exp(-0.75 i tau k).
+    unshifted = series.values * np.exp(-1j * (series.shift - 0.75) * tau * np.arange(6))
     words = [PauliWord.from_string(text) for text in letters]
     for k in range(6):
         image = state
         for c, word in zip(coeffs, words):
             angle = c * tau * k
             image = math.cos(angle) * image - 1j * math.sin(angle) * apply_word(word, image)
-        assert abs(series.values[k] - np.vdot(state, image)) < 1e-10
+        assert abs(unshifted[k] - np.vdot(state, image)) < 1e-10
 
 
 def _spread(h: PauliSum) -> float:
@@ -465,8 +470,21 @@ def test_qcels_restores_identity_shift():
     state = vectors[:, 0].astype(complex)
     tau = 0.8 * 2 * math.pi / _spread(base)
     series = qcels_series(state, shifted, tau, 24)
-    assert series.shift == pytest.approx(17.5)
+    assert series.shift == pytest.approx(17.5 + (values[0] + values[-1]) / 2)
     assert abs(qcels_estimate(series) - (values[0] + 17.5)) < 1e-9
+
+
+def test_qcels_window_holds_a_lopsided_spectrum():
+    # -ZI - IZ + ZZ has eigenvalues -1, -1, -1 and 3. The spread 4 fits
+    # tau = 1.2, but 3 lies outside [-pi/1.2, pi/1.2) around the identity
+    # coefficient 0, where it used to alias to 3 - 2 pi/1.2. Around the
+    # middle of the range, 1, every energy is inside the window.
+    h = PauliSum.from_terms([(-1.0, "ZI"), (-1.0, "IZ"), (1.0, "ZZ")])
+    state = basis_state(OnConfig.from_string("11"))
+    for tau in (0.7, 1.2):
+        series = qcels_series(state, h, tau, 32)
+        assert series.shift == 1.0
+        assert abs(qcels_estimate(series) - 3.0) < 1e-9
 
 
 def test_qcels_rejects_bad_sampling():

@@ -1,8 +1,9 @@
 """Public API reached only by tests is deleted, not kept.
 
-Every public module-level function or class of the package must be named
-somewhere in ``src/`` besides its own definition, or be listed below with the
-reason it stays.
+Every public module-level function or class of the package, and every
+public method or property of a public class, must be named somewhere in
+``src/`` besides its own definition, or be listed below with the reason it
+stays.
 """
 import ast
 import pathlib
@@ -10,9 +11,10 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcprep"
 
-REASONS = {"oracle", "fixture", "test hook", "leaves"}
+REASONS = {"oracle", "fixture", "test hook", "leaves", "tracer"}
 
-# name -> why it stays public; "leaves" means perfbench/tracing.LEAVES pins it.
+# name -> why it stays public; "leaves" means perfbench/tracing.LEAVES pins it,
+# "tracer" that perfbench/tracing.py wraps the method or reads the property.
 ALLOWED = {
     "simulator.circuit_unitary": "oracle",
     "simulator.subspace_diag": "oracle",
@@ -26,6 +28,9 @@ ALLOWED = {
     "paulis.word_multiply": "leaves",
     "paulis.apply_word": "leaves",
     "ssp.merge_angle": "leaves",
+    "paulis.PauliWord.matrix": "oracle",
+    "paulis.PauliSum.matrix": "tracer",
+    "paulis.PauliSum.n_terms": "tracer",
 }
 
 
@@ -33,14 +38,21 @@ def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _public(nodes, kinds) -> list:
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def _definitions(trees) -> dict[str, ast.AST]:
-    """Public module-level functions and classes, keyed module.name."""
-    return {
-        f"{module}.{node.name}": node
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    """Public module-level functions and classes, keyed module.name, and the
+    public methods and properties of those classes, keyed module.Class.name."""
+    found = {}
+    for module, tree in trees.items():
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            found[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for member in _public(node.body, ast.FunctionDef):
+                    found[f"{module}.{node.name}.{member.name}"] = member
+    return found
 
 
 def _mentions(trees) -> dict[str, int]:
@@ -71,10 +83,25 @@ def _leaves() -> set[str]:
     raise AssertionError("perfbench/tracing.py defines no LEAVES")
 
 
+def _traced_pauli_members() -> set[str]:
+    """PauliSum members the tracer wraps (PAULI_METHODS) or reads in the hook
+    of PauliSum.apply."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PAULI_METHODS" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.FunctionDef) and node.name == "_apply":
+            names.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+    return {f"paulis.PauliSum.{name}" for name in names}
+
+
 def _unreferenced() -> set[str]:
     trees = _trees()
     mentions = _mentions(trees)
-    return {key for key in _definitions(trees) if mentions.get(key.split(".")[1], 0) == 0}
+    return {key for key in _definitions(trees) if mentions.get(key.split(".")[-1], 0) == 0}
 
 
 def test_every_public_name_is_used_in_src_or_allowed():
@@ -88,6 +115,7 @@ def test_allowlist_is_current_and_each_reason_holds():
     assert ALLOWED.keys() <= defined.keys(), sorted(ALLOWED.keys() - defined.keys())
     stale = sorted(ALLOWED.keys() - _unreferenced())
     assert not stale, f"allowed names that src/ now uses; drop them from ALLOWED: {stale}"
-    leaves = _leaves()
+    leaves, traced = _leaves(), _traced_pauli_members()
     for key, reason in ALLOWED.items():
         assert (key in leaves) == (reason == "leaves"), key
+        assert (key in traced) == (reason == "tracer"), key

@@ -355,21 +355,22 @@ def corpus_specs(cisd_sizes=CISD_SIZES) -> list:
     return specs + [cisd_spec(*size) for size in cisd_sizes]
 
 
-def full_fixed_point(c: Circuit, gs) -> Circuit:
-    """compile_circuit with the loop it had before it stopped early: rounds
-    repeat until one changes nothing, and every output record goes through
-    the validating constructors."""
+def full_fixed_point(c: Circuit, gs) -> tuple[Circuit, int]:
+    """The simplification stages repeated until a round changes nothing, angle
+    bits included, with every output record going through the validating
+    constructors. Returns the circuit and the number of rounds that changed
+    the records."""
     rotations, runs = {}, {}
     recs = []
     for g in c.gates:
         recs.extend(circuits._decompose((g.kind, g.targets, g.controls, g.params), gs, rotations))
-    for _ in range(10_000):
-        recs, changed, _ = circuits._peephole_pass(recs)
+    for rounds in range(100):
+        new = circuits._peephole_pass(recs)
         if gs.name == "zz":
-            recs, consolidated, _ = circuits._consolidate_1q_runs(recs, runs, [])
-            changed = changed or consolidated
-        if not changed:
-            return Circuit(c.n_qubits, tuple(Gate(*rec) for rec in recs))
+            new = circuits._consolidate_1q_runs(new, runs)
+        if repr(new) == repr(recs):
+            return Circuit(c.n_qubits, tuple(Gate(*rec) for rec in recs)), rounds
+        recs = new
     raise AssertionError("no fixed point")
 
 
@@ -410,15 +411,24 @@ def cascade_circuit(rng) -> Circuit:
 
 @pytest.mark.parametrize("gateset_name", ["cx", "zz"])
 def test_compile_stops_where_the_full_loop_stops(gateset_name):
-    # compile_circuit ends the loop without a confirming round when the last
-    # round provably left nothing to do; its output must be what the full
-    # loop gives, angle bits included.
+    # compile_circuit runs each simplification stage once; repeating the
+    # stages must change nothing after the first round, and the output must
+    # be what the full loop gives, angle bits included.
     gs = gateset_by_name(gateset_name)
     rng = np.random.default_rng(61)
     cases = [synthesize(spec, method) for spec in corpus_specs() for method in ("gr", "ssp")]
     cases += [cascade_circuit(rng) for _ in range(1000)]
+    # Consolidated to zz, this run gives PhasedX + Rz(1.00009e-12), and that
+    # body consolidated again drops the Rz.
+    cases.append(Circuit(1, (
+        rz_gate(0, -2.4665146887129676),
+        phasedx_gate(0, 1.1807501594754077, 2.9843732967856713),
+        rz_gate(0, 2.4665146887139677),
+    )))
     for c in cases:
-        assert repr(compile_circuit(c, gs)) == repr(full_fixed_point(c, gs)), c
+        fixed, rounds = full_fixed_point(c, gs)
+        assert rounds <= 1, c
+        assert repr(compile_circuit(c, gs)) == repr(fixed), c
 
 
 # (n_gates, two_qubit_total, depth) of each 8-qubit acceptance state, per
@@ -497,6 +507,19 @@ def test_same_axis_rotations_merge():
     assert compiled.gates[0].params[0] == pytest.approx(0.75)
     cancels = Circuit(1, (ry_gate(0, 0.4), ry_gate(0, -0.4)))
     assert len(compile_circuit(cancels, gateset_by_name("cx")).gates) == 0
+
+
+def test_one_pass_merges_across_a_cancelled_pair():
+    # A cancelled pair is popped off its wires, so the rotations on either
+    # side of it meet and merge within the same pass.
+    a, b, c, d = 0.3, 0.45, -0.2, 0.7
+    rz, ry, x, cnot = circuits._rz, circuits._ry, (X, (0,), (), ()), circuits._cnot(0, 1)
+    assert circuits._peephole_pass([rz(0, a), x, x, rz(0, b)]) == [rz(0, a + b)]
+    assert circuits._peephole_pass([rz(0, a), cnot, cnot, rz(0, b)]) == [rz(0, a + b)]
+    both_wires = [rz(0, a), ry(1, c), cnot, cnot, rz(0, b), ry(1, d)]
+    assert circuits._peephole_pass(both_wires) == [rz(0, a + b), ry(1, c + d)]
+    # A rotation merging to a null angle is popped the same way.
+    assert circuits._peephole_pass([x, rz(0, a), rz(0, -a), x]) == []
 
 
 def test_cancellation_is_wire_adjacency_aware():

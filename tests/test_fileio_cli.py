@@ -473,6 +473,18 @@ def test_cli_qcels_rejects_aliasing_step(tmp_path, capsys):
     assert err.startswith("error: step 10")
 
 
+def test_cli_qcels_does_not_alias_a_lopsided_spectrum(tmp_path, capsys):
+    # Eigenvalues -1, -1, -1 and 3: at tau = 1.2 the energy 3 of |11> used to
+    # come back as its alias 3 - 2 pi/1.2 = -2.236.
+    spec_path = write(tmp_path, "state.txt", "1.0 11\n")
+    ham_path = write(tmp_path, "h.txt", "-1 ZI\n-1 IZ\n1 ZZ\n")
+    argv = ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--samples", "32"]
+    for tau in ("0.7", "1.2"):
+        code, report, _ = run_cli(capsys, [*argv, "--tau", tau])
+        assert code == 0
+        assert report["estimate"] == pytest.approx(3.0, abs=1e-9)
+
+
 def test_cli_qcels_rejects_unresolvable_step(tmp_path, capsys):
     # The estimate's bisection cannot shrink a bracket of 4 pi / (10 N tau)
     # to its stop in 80 halvings for tau = 1e-300, which used to report an

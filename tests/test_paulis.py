@@ -153,14 +153,6 @@ def test_sum_apply_and_matrix_agree():
             assert np.allclose(apply_word(word, amps), oracle @ amps, atol=1e-12)
 
 
-def test_identity_coefficient_and_trace():
-    h = PauliSum.from_terms([(0.5, "II"), (2.0, "ZZ"), (-0.25, "XY")])
-    assert h.identity_coefficient == 0.5
-    assert h.identity_coefficient == pytest.approx(np.trace(h.matrix()).real / 4)
-    shifted = PauliSum.from_terms(h.terms() + [(-0.5, "II")], 2)
-    assert shifted.identity_coefficient == 0.0
-
-
 def test_x_plus_z_squares_to_twice_identity():
     h = PauliSum.from_terms([(1.0, "X"), (1.0, "Z")])
     amps = np.array([0.6, 0.8j])
