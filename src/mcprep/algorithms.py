@@ -31,7 +31,8 @@ class ZeroThirdCumulant(ArithmeticError):
 
 
 class TauTooLarge(ValueError):
-    """Raised when the sampling step aliases the spectral range."""
+    """Raised when the sampling step aliases the range of energies that can
+    enter a QCELS series; the message names which range was checked."""
 
 
 NEAR_EIGENSTATE_VARIANCE = 1e-12
@@ -335,8 +336,10 @@ def vqe_minimize(
 @dataclasses.dataclass(frozen=True)
 class QcelsSeries:
     """Overlap samples Z_n = <psi| exp(-i (H - shift) tau n) |psi>, where
-    `shift` is the middle of H's spectral range; adding it back restores the
-    original zero of energy."""
+    `shift` is the middle of the range that the step was checked against:
+    that of the blocks the state touches when H's blocks are solved, H's
+    whole spectral range when the state is evolved. Adding the shift back
+    restores the original zero of energy."""
 
     tau: float
     values: np.ndarray
@@ -349,10 +352,7 @@ def _diagonalizable(h: PauliSum) -> bool:
 
 
 def _spectral_range(h: PauliSum) -> tuple[float, float]:
-    """The lowest and the highest eigenvalue of h."""
-    if _diagonalizable(h):
-        values = h.eigenvalues
-        return float(values[0]), float(values[-1])
+    """The lowest and the highest eigenvalue of h, by Krylov iteration."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     sparse = h.sparse_matrix()
@@ -366,8 +366,8 @@ def _spectral_range(h: PauliSum) -> tuple[float, float]:
     return float(low.real), float(high.real)
 
 
-def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> tuple[float, float]:
-    """Check the sampling arguments; returns h's spectral range."""
+def _validate_series_args(tau: float, n_samples: int) -> None:
+    """Check the sampling arguments that need no eigensolve."""
     if not 2 <= n_samples <= MAX_QCELS_SAMPLES:
         raise ValueError(f"samples must run from 2 to {MAX_QCELS_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tau) and tau > 0):
@@ -379,30 +379,44 @@ def _validate_series_args(h: PauliSum, tau: float, n_samples: int) -> tuple[floa
             f"{bracket:.3g} cannot shrink below {_QCELS_BRACKET_TOL:g} in "
             f"{_QCELS_BISECTIONS} halvings"
         )
-    low, high = _spectral_range(h)
-    if high > low and tau >= 2 * math.pi / (high - low):
-        raise TauTooLarge(f"step {tau} aliases spectral range {high - low:.6g}")
-    return low, high
 
 
 def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> QcelsSeries:
     """Sample the autocorrelation of a state under time evolution by
-    H - shift, with shift the middle of H's spectral range. So the search
-    window [shift - pi/tau, shift + pi/tau) of qcels_estimate holds every
-    energy whenever the spread is below 2 pi/tau, which the check demands."""
-    low, high = _validate_series_args(h, tau, n_samples)
-    shift = (low + high) / 2
-    n = np.arange(n_samples)
+    H - shift, with shift the middle of the range of energies that can enter
+    the series. So the search window [shift - pi/tau, shift + pi/tau) of
+    qcels_estimate holds every such energy whenever that range is below
+    2 pi/tau, which the check demands (TauTooLarge otherwise).
 
-    if _diagonalizable(h):
-        # The state's weight on each eigenvector, from the blocks it touches.
-        z = np.zeros(n_samples, dtype=complex)
+    When H's largest block has at most 2^10 rows, each block the state
+    touches is solved once; only their energies carry weight, so the range
+    is theirs. Otherwise the state is evolved and the range is H's own.
+    """
+    _validate_series_args(tau, n_samples)
+    n = np.arange(n_samples)
+    solved = _diagonalizable(h)
+    if solved:
+        # Each touched block's energies and the state's weight on each of them.
+        spectra = []
         for indices in h.sectors:
             amps = state[indices]
             if amps.any():
                 values, vectors = np.linalg.eigh(h.block(indices))
-                weights = np.abs(vectors.conj().T @ amps) ** 2
-                z += (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
+                spectra.append((values, np.abs(vectors.conj().T @ amps) ** 2))
+        low = float(min((values[0] for values, _ in spectra), default=0.0))
+        high = float(max((values[-1] for values, _ in spectra), default=0.0))
+        checked = "of the blocks the state touches"
+    else:
+        low, high = _spectral_range(h)
+        checked = "of the whole spectrum"
+    if high > low and tau >= 2 * math.pi / (high - low):
+        raise TauTooLarge(f"step {tau} aliases the energy range {high - low:.6g} {checked}")
+    shift = (low + high) / 2
+
+    if solved:
+        z = np.zeros(n_samples, dtype=complex)
+        for values, weights in spectra:
+            z += (weights[None, :] * np.exp(-1j * np.outer(n * tau, values))).sum(axis=1)
     else:
         z = np.empty(n_samples, dtype=complex)
         current = state

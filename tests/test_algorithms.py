@@ -385,8 +385,9 @@ def test_qcels_sparse_series_matches_eigendecomposition():
     weights = np.abs(vectors.conj().T @ coeffs) ** 2
     steps = np.arange(8) * tau
     expected = (weights[None, :] * np.exp(-1j * np.outer(steps, values))).sum(axis=1)
-    spectrum = exact_spectrum(h)
-    assert series.shift == (spectrum[0] + spectrum[-1]) / 2
+    # The state touches the two-particle block alone, so the window is
+    # centred on the middle of that block's range, not of the whole spectrum.
+    assert series.shift == pytest.approx((values[0] + values[-1]) / 2, abs=1e-9)
     assert np.abs(series.values * np.exp(-1j * series.shift * steps) - expected).max() < 1e-9
 
 
@@ -475,16 +476,112 @@ def test_qcels_restores_identity_shift():
 
 
 def test_qcels_window_holds_a_lopsided_spectrum():
-    # -ZI - IZ + ZZ has eigenvalues -1, -1, -1 and 3. The spread 4 fits
-    # tau = 1.2, but 3 lies outside [-pi/1.2, pi/1.2) around the identity
-    # coefficient 0, where it used to alias to 3 - 2 pi/1.2. Around the
-    # middle of the range, 1, every energy is inside the window.
+    # -ZI - IZ + ZZ has eigenvalues -1, -1, -1 and 3. The energy 3 lies
+    # outside [-pi/1.2, pi/1.2) around the identity coefficient 0, where it
+    # used to alias to 3 - 2 pi/1.2. |11> touches only its own one-state
+    # block, so the window is centred on that block's energy, 3.
     h = PauliSum.from_terms([(-1.0, "ZI"), (-1.0, "IZ"), (1.0, "ZZ")])
     state = basis_state(OnConfig.from_string("11"))
     for tau in (0.7, 1.2):
         series = qcels_series(state, h, tau, 32)
-        assert series.shift == 1.0
+        assert series.shift == 3.0
         assert abs(qcels_estimate(series) - 3.0) < 1e-9
+
+
+def sector_indices(n: int, weight: int) -> np.ndarray:
+    """Basis indices with `weight` bits set, ascending."""
+    indices = np.arange(1 << n)
+    return indices[sum((indices >> k) & 1 for k in range(n)) == weight]
+
+
+def block_spectrum(h: PauliSum, indices: np.ndarray):
+    """Eigenpairs of h's dense matrix restricted to the basis states."""
+    return np.linalg.eigh(h.matrix()[np.ix_(indices, indices)])
+
+
+def test_qcels_checks_the_step_against_the_touched_block():
+    # A state inside the one-particle sector sees only that block's energies,
+    # so a step that aliases the whole spectrum but not the block's range is
+    # accepted, and the window is centred on the block's range.
+    rng = np.random.default_rng(83)
+    n = 6
+    h = number_conserving_hamiltonian(rng, n)
+    sector = sector_indices(n, 1)
+    values, vectors = block_spectrum(h, sector)
+    touched, full = values[-1] - values[0], _spread(h)
+    tau = math.pi / touched + math.pi / full
+    assert 2 * math.pi / full < tau < 2 * math.pi / touched
+    for k in (0, len(sector) - 1):
+        state = np.zeros(1 << n, dtype=complex)
+        state[sector] = vectors[:, k]
+        series = qcels_series(state, h, tau, 32)
+        assert series.shift == pytest.approx((values[0] + values[-1]) / 2, abs=1e-12)
+        assert abs(qcels_estimate(series) - values[k]) < 1e-9
+    # A mixed state of the block: the estimate of the series built from the
+    # block's eigensystem is the oracle.
+    amps = vectors[:, 0] + 0.4 * vectors[:, 1:] @ rng.standard_normal(len(sector) - 1)
+    amps /= np.linalg.norm(amps)
+    state = np.zeros(1 << n, dtype=complex)
+    state[sector] = amps
+    shift = (values[0] + values[-1]) / 2
+    weights = np.abs(vectors.conj().T @ amps) ** 2
+    steps = np.arange(32) * tau
+    oracle = QcelsSeries(tau, (weights * np.exp(-1j * np.outer(steps, values - shift))).sum(axis=1), shift)
+    assert abs(qcels_estimate(qcels_series(state, h, tau, 32)) - qcels_estimate(oracle)) < 1e-9
+
+
+def test_qcels_rejects_a_step_that_aliases_the_touched_union():
+    # A superposition over the one- and five-particle sectors of 6 qubits:
+    # each block's range fits the step, but their union does not, so the
+    # step is rejected. Just below the union's limit it is accepted, though
+    # it aliases the whole spectrum.
+    rng = np.random.default_rng(84)
+    n = 6
+    h = number_conserving_hamiltonian(rng, n)
+    touched = np.concatenate([sector_indices(n, 1), sector_indices(n, 5)])
+    state = np.zeros(1 << n, dtype=complex)
+    state[touched] = random_state(rng, n)[touched]
+    state /= np.linalg.norm(state)
+    ranges = [block_spectrum(h, sector_indices(n, w))[0][[0, -1]] for w in (1, 5)]
+    low, high = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+    widest = max(hi - lo for lo, hi in ranges)
+    tau = 1.01 * 2 * math.pi / (high - low)
+    assert tau < 2 * math.pi / widest
+    with pytest.raises(TauTooLarge, match="of the blocks the state touches"):
+        qcels_series(state, h, tau, 8)
+    tau = 0.99 * 2 * math.pi / (high - low)
+    assert tau > 2 * math.pi / _spread(h)
+    assert qcels_series(state, h, tau, 8).shift == pytest.approx((low + high) / 2, abs=1e-12)
+
+
+def test_qcels_solves_each_touched_block_once(monkeypatch):
+    # The touched blocks' eigenpairs give both the range the step is checked
+    # against and the series, so no block is solved twice and no untouched
+    # block is solved at all.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(85)
+    # 12 qubits conserving particle number: a 4-particle state touches the
+    # one block of C(12, 4) = 495 rows among the 13 sectors.
+    h = number_conserving_hamiltonian(rng, 12)
+    assert len(h.sectors) == 13
+    state = np.zeros(1 << 12, dtype=complex)
+    sector = sector_indices(12, 4)
+    state[sector] = rng.standard_normal(len(sector))
+    state /= np.linalg.norm(state)
+    qcels_series(state, h, 0.9 * math.pi / sum(abs(c) for c, _ in h.terms()), 6)
+    assert calls == ["eigh"]
+    # 10 qubits, not conserving: one block of 2^10 rows, solved once.
+    calls.clear()
+    h = random_sum(rng, 10, 30)
+    assert [len(s) for s in h.sectors] == [1 << 10]
+    qcels_series(random_state(rng, 10), h, 0.9 * math.pi / sum(abs(c) for c, _ in h.terms()), 8)
+    assert calls == ["eigh"]
 
 
 def test_qcels_rejects_bad_sampling():

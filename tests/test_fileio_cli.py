@@ -485,6 +485,25 @@ def test_cli_qcels_does_not_alias_a_lopsided_spectrum(tmp_path, capsys):
         assert report["estimate"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_cli_qcels_checks_the_step_against_the_touched_block(tmp_path, capsys):
+    # ZZ + (XX + YY)/2 has eigenvalues -2, 0 on the one-particle block and 1,
+    # 1 outside it: the whole spread is 3, the block's 2. The singlet of the
+    # block, at -2, accepts a step between 2 pi/3 and 2 pi/2 and rejects one
+    # at or above 2 pi/2, naming the step and the range it checked.
+    amp = "0.7071067811865476"
+    spec_path = write(tmp_path, "state.txt", f"{amp} 10\n-{amp} 01\n")
+    ham_path = write(tmp_path, "h.txt", "1 ZZ\n0.5 XX\n0.5 YY\n")
+    argv = ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--samples", "32"]
+    code, report, _ = run_cli(capsys, [*argv, "--tau", "2.5"])
+    assert code == 0
+    assert report["estimate"] == pytest.approx(-2.0, abs=1e-9)
+    assert report["exact_ground"] == pytest.approx(-2.0, abs=1e-12)
+    code, report, err = run_cli(capsys, [*argv, "--tau", "3.2"])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: step 3.2 aliases the energy range 2 of the blocks the state touches")
+
+
 def test_cli_qcels_rejects_unresolvable_step(tmp_path, capsys):
     # The estimate's bisection cannot shrink a bracket of 4 pi / (10 N tau)
     # to its stop in 80 halvings for tau = 1e-300, which used to report an
