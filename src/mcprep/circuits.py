@@ -13,7 +13,11 @@ Gate kinds and wire conventions:
 - Any gate may carry extra controls as (qubit, state) pairs with state 0 or 1.
 
 Matrices use the register convention of the rest of the package: the first
-target is the most significant bit of the gate's local basis.
+target is the most significant bit of the gate's local basis. The matrices of
+each angle-bearing kind have one definition, ``_GATE_MATRICES``, which builds
+those of many gates in one numpy pass; ``gate_matrix`` is its one-row case.
+Controlled rotations compile through a Gray-code multiplexor with closed-form
+angles, +-angle / 2^k for k controls (Möttönen et al., PRL 93, 130502, 2004).
 
 Angle bookkeeping is in radians everywhere in memory; serialization converts
 to units of pi at the file boundary (see fileio).
@@ -204,20 +208,6 @@ def bind_parameters(c: Circuit, values: dict[str, float]) -> Circuit:
 # --- gate matrices -----------------------------------------------------------
 
 
-def _rx_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz_matrix(angle: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]])
-
-
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
@@ -237,34 +227,59 @@ _FIXED_MATRICES = {
 }
 
 
+def _rotation_stack(angles: np.ndarray, off_diagonal: complex) -> np.ndarray:
+    """[[c, w s], [-conj(w) s, c]], with c and s the cosine and sine of half
+    of each angle: Ry for w = -1, Rx for w = -1j."""
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    m = np.empty((len(angles), 2, 2), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1] = off_diagonal * s
+    m[:, 1, 0] = -np.conj(off_diagonal) * s
+    return m
+
+
+def _rz_stack(angles: np.ndarray) -> np.ndarray:
+    m = np.zeros((len(angles), 2, 2), dtype=complex)
+    m[:, 0, 0] = np.exp(-1j * angles / 2)
+    m[:, 1, 1] = np.exp(1j * angles / 2)
+    return m
+
+
+def _pattern_stack(angles: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+    c, s = np.cos(angles), np.sin(angles)
+    m = np.zeros((len(angles), size, size), dtype=complex)
+    m[:, range(size), range(size)] = 1
+    m[:, lo, lo] = m[:, hi, hi] = c
+    m[:, lo, hi] = s
+    m[:, hi, lo] = -s
+    return m
+
+
+# The one definition of the matrices of each angle-bearing kind: the stack of
+# those of many gates, from the (gates, angles) array of their angles, in one
+# numpy pass.
+_GATE_MATRICES = {
+    RY: lambda a: _rotation_stack(a[:, 0], -1.0),
+    RZ: lambda a: _rz_stack(a[:, 0]),
+    PHASEDX: lambda a: _rz_stack(a[:, 1]) @ _rotation_stack(a[:, 0], -1j) @ _rz_stack(-a[:, 1]),
+    G2: lambda a: _pattern_stack(a[:, 0], 4, 0b01, 0b10),
+    G4: lambda a: _pattern_stack(a[:, 0], 16, 0b0011, 0b1100),
+}
+
+
 def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     """Matrix over the gate's targets only (controls handled by the caller).
 
     Basis ordering: first target = most significant bit. The matrices of the
-    parameterless kinds are shared and read-only.
+    parameterless kinds are shared and read-only; the others are row 0 of a
+    one-row _GATE_MATRICES stack.
     """
     fixed = _FIXED_MATRICES.get(kind)
     if fixed is not None:
         return fixed
-    if kind == RY:
-        return _ry_matrix(params[0])
-    if kind == RZ:
-        return _rz_matrix(params[0])
-    if kind == PHASEDX:
-        alpha, beta = params
-        return _rz_matrix(beta) @ _rx_matrix(alpha) @ _rz_matrix(-beta)
-    if kind == G2:
-        c, s = math.cos(params[0]), math.sin(params[0])
-        m = np.eye(4, dtype=complex)
-        m[1, 1], m[1, 2], m[2, 1], m[2, 2] = c, s, -s, c
-        return m
-    if kind == G4:
-        c, s = math.cos(params[0]), math.sin(params[0])
-        m = np.eye(16, dtype=complex)
-        lo, hi = 0b0011, 0b1100
-        m[lo, lo], m[lo, hi], m[hi, lo], m[hi, hi] = c, s, -s, c
-        return m
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if kind not in _GATE_MATRICES:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return _GATE_MATRICES[kind](np.array([params], dtype=float))[0]
 
 
 # --- gate sets ---------------------------------------------------------------
@@ -311,57 +326,31 @@ def _phasedx(q: int, alpha, beta) -> tuple:
     return (PHASEDX, (q,), (), (alpha, beta))
 
 
-@functools.cache
-def _gray_transition_bits(k: int) -> tuple[int, ...]:
-    """Bit flipped after each rotation in a cyclic reflected-Gray walk."""
-    bits = [( (i + 1) & -(i + 1) ).bit_length() - 1 for i in range(2**k - 1)]
-    bits.append(k - 1)
-    return tuple(bits)
-
-
-@functools.cache
-def _gray_signs(k: int) -> np.ndarray:
-    """Sign of each position's rotation (columns) in each control pattern (rows)."""
-    size = 2**k
-    prefix_masks = [0]
-    for bit in _gray_transition_bits(k)[:-1]:
-        prefix_masks.append(prefix_masks[-1] ^ (1 << bit))
-    signs = np.empty((size, size))
-    for b in range(size):
-        for i in range(size):
-            signs[b, i] = -1.0 if (b & prefix_masks[i]).bit_count() % 2 else 1.0
-    signs.flags.writeable = False
-    return signs
-
-
-def _multiplexed_rotation(
-    kind: str, target: int, controls, angle: float, memo: dict
-) -> list[tuple]:
+def _multiplexed_rotation(kind: str, target: int, controls, angle: float) -> list[tuple]:
     """Rotation of the target by `angle` exactly when every control matches its
     state, and by zero for every other control pattern.
 
-    Gray-code multiplexor: 2^k controlled flips interleaved with 2^k rotations
-    whose angles solve a linear system mapping per-position angles to
-    per-pattern totals. Control states enter through the target pattern, so
-    0-state controls cost nothing extra. `memo` holds the solved angles per
-    (k, pattern, angle bits) for one compilation.
+    Gray-code multiplexor (Möttönen et al., PRL 93, 130502, 2004): 2^k
+    rotations a_i, each followed by a CNOT from the control whose bit differs
+    between the Gray codes g_i = i ^ (i >> 1) and g_(i+1), cyclically. Control
+    pattern b turns the target by sum_i S[b, i] a_i with
+    S[b, i] = (-1)^popcount(b & g_i). S is a Sylvester-Hadamard matrix with
+    permuted columns, so S^-1 = S^T / 2^k, and turning pattern p alone by
+    `angle` takes a_i = S[p, i] angle / 2^k. Control states enter through p,
+    so 0-state controls cost nothing extra.
     """
     k = len(controls)
-    # Control j corresponds to bit k-1-j of both the pattern index and the
-    # Gray masks.
+    # Control j corresponds to bit k-1-j of both the pattern and the Gray codes.
     pattern = 0
     for j, (_, state) in enumerate(controls):
         pattern |= state << (k - 1 - j)
-    key = (k, pattern, angle.hex())
-    local = memo.get(key)
-    if local is None:
-        desired = np.zeros(2**k)
-        desired[pattern] = angle
-        local = memo[key] = [float(v) for v in np.linalg.solve(_gray_signs(k), desired)]
-
+    share = angle / 2**k
     out = []
-    for angle_i, bit in zip(local, _gray_transition_bits(k)):
-        out.append((kind, (target,), (), (angle_i,)))
+    for i in range(2**k):
+        gray, after = i ^ i >> 1, (i + 1) % 2**k
+        signed = -share if (pattern & gray).bit_count() % 2 else share
+        bit = (gray ^ after ^ after >> 1).bit_length() - 1
+        out.append((kind, (target,), (), (signed,)))
         out.append(_cnot(controls[k - 1 - bit][0], target))
     return out
 
@@ -508,19 +497,19 @@ def _g2_template(a: int, b: int, theta: float) -> list[tuple]:
     ]
 
 
-def _g4_template(a: int, b: int, c: int, d: int, theta: float, memo: dict) -> list[tuple]:
+def _g4_template(a: int, b: int, c: int, d: int, theta: float) -> list[tuple]:
     """Pattern rotation 0011/1100: three CNOTs fold the pair onto wire `a`,
     then a Gray-code multiplexed Ry rotates it under the (b,c,d) = (0,1,1)
     pattern. Exactly 14 two-qubit gates."""
     fold = [_cnot(a, b), _cnot(a, c), _cnot(a, d)]
-    core = _multiplexed_rotation(RY, a, ((b, 0), (c, 1), (d, 1)), -2 * theta, memo)
+    core = _multiplexed_rotation(RY, a, ((b, 0), (c, 1), (d, 1)), -2 * theta)
     return fold + core + fold[::-1]
 
 
 _CX_KINDS = frozenset({X, RY, RZ, CNOT})
 
 
-def _expand_cx(rec: tuple, memo: dict) -> list[tuple]:
+def _expand_cx(rec: tuple) -> list[tuple]:
     """Rewrite one record into the CX-native kinds {CNOT, Ry, Rz, X}."""
     kind, targets, ctrls, params = rec
     params = tuple(map(float, params))
@@ -536,7 +525,7 @@ def _expand_cx(rec: tuple, memo: dict) -> list[tuple]:
     if kind in (RY, RZ):
         if not ctrls:
             return [rec]
-        return _multiplexed_rotation(kind, targets[0], ctrls, params[0], memo)
+        return _multiplexed_rotation(kind, targets[0], ctrls, params[0])
     if kind == PHASEDX:
         alpha, beta = params
         q = targets[0]
@@ -545,35 +534,31 @@ def _expand_cx(rec: tuple, memo: dict) -> list[tuple]:
             _ry(q, alpha, ctrls),
             _rz(q, beta - math.pi / 2, ctrls),
         ]
-        return _flatten_cx(seq, memo)
+        return _flatten_cx(seq)
     if kind == ZZMAX:
         a, b = targets
         cnot = (CNOT, (a, b), ctrls, ())
-        return _flatten_cx([cnot, _rz(b, math.pi / 2, ctrls), cnot], memo)
+        return _flatten_cx([cnot, _rz(b, math.pi / 2, ctrls), cnot])
     if kind == SWAP:
         a, b = targets
         middle = (X, (b,), ctrls + ((a, 1),), ())
-        return _flatten_cx([_cnot(b, a), middle, _cnot(b, a)], memo)
+        return _flatten_cx([_cnot(b, a), middle, _cnot(b, a)])
     if kind in (G2, G4):
-        template = (
-            _g2_template(*targets, params[0])
-            if kind == G2
-            else _g4_template(*targets, params[0], memo)
-        )
+        template = (_g2_template if kind == G2 else _g4_template)(*targets, params[0])
         # Template records carry no controls and stay on the gate's targets,
         # which the gate's controls never touch.
         wrapped = [(k, t, ctrls, p) for k, t, _, p in template]
-        return _flatten_cx(wrapped, memo)
+        return _flatten_cx(wrapped)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _flatten_cx(recs: Iterable[tuple], memo: dict) -> list[tuple]:
+def _flatten_cx(recs: Iterable[tuple]) -> list[tuple]:
     out = []
     for rec in recs:
         if not rec[2] and rec[0] in _CX_KINDS:
             out.append(rec)
         else:
-            out.extend(_expand_cx(rec, memo))
+            out.extend(_expand_cx(rec))
     return out
 
 
@@ -600,10 +585,10 @@ def _rewrite_zz_fixed(rec: tuple) -> tuple[tuple, ...]:
     raise ValueError(f"not a CX-native gate: {kind}")
 
 
-def _decompose(rec: tuple, gateset: GateSet, memo: dict) -> list[tuple]:
+def _decompose(rec: tuple, gateset: GateSet) -> list[tuple]:
     if rec[0] in gateset.kinds and not rec[2]:
         return [rec]
-    cx_recs = _expand_cx(rec, memo)
+    cx_recs = _expand_cx(rec)
     if gateset.name == "cx":
         return cx_recs
     out = []
@@ -623,7 +608,7 @@ def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
         raise UnboundParameterError(f"unbound parameters {g.symbols} on {g.kind}")
     if g.kind in gateset.kinds and not g.controls:
         return [g]
-    return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset, {})]
+    return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset)]
 
 
 # --- peephole simplification and compilation ---------------------------------
@@ -694,7 +679,7 @@ def _peephole_pass(recs: list[tuple]) -> list[tuple]:
 def _run_matrix(run: list[tuple]) -> np.ndarray:
     acc = np.eye(2, dtype=complex)
     for kind, _, _, params in run:
-        acc = gate_matrix(kind, tuple(map(float, params))) @ acc
+        acc = gate_matrix(kind, params) @ acc
     return acc
 
 
@@ -784,10 +769,9 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     """
     if c.parameters:
         raise UnboundParameterError(f"compile needs bound angles; free: {c.parameters}")
-    rotations: dict = {}
     recs: list[tuple] = []
     for g in c.gates:
-        recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset, rotations))
+        recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset))
     recs = _peephole_pass(recs)
     if gateset.name == "zz":
         recs = _consolidate_1q_runs(recs, {})

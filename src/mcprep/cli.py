@@ -53,7 +53,8 @@ def _synth_one(spec_path: str, method: str, gateset_name: str, out: str | None) 
     spec = fileio.parse_state_spec(_read(spec_path))
     raw = algorithms.synthesize(spec, method)
     emitted = raw if gateset_name == "none" else compile_circuit(raw, gateset_by_name(gateset_name))
-    fidelity = fidelity_up_to_phase(run_circuit(emitted), spec_state(spec))
+    # Verify the angles the file holds, so that verify reports this fidelity.
+    fidelity = fidelity_up_to_phase(run_circuit(fileio.as_written(emitted)), spec_state(spec))
     ok = fidelity >= 1 - SYNTH_FIDELITY
     body = {
         "method": method,

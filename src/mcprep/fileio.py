@@ -166,6 +166,19 @@ def circuit_to_json(c: Circuit) -> str:
     )
 
 
+def as_written(c: Circuit) -> Circuit:
+    """The circuit circuit_from_json reads back from circuit_to_json(c): the
+    file holds each numeric angle p as repr(p / pi), which round-trips, so p
+    comes back as (p / pi) * pi."""
+    gates = tuple(
+        _checked_gate(g.kind, g.targets, g.controls, tuple(
+            p if isinstance(p, str) else float(p) / math.pi * math.pi for p in g.params
+        )) if g.params else g
+        for g in c.gates
+    )
+    return _checked_circuit(c.n_qubits, gates, c.parameters)
+
+
 _GATE_FIELDS = frozenset({"kind", "targets", "controls", "angle"})
 
 

@@ -15,14 +15,16 @@ To apply a gate the kernel transposes the control-fixed view by that
 permutation, copies it once into a (2**m, -1) block, multiplies the gate's
 matrix into the block and writes the product back through the same view.
 
-``run_circuit`` builds the matrices of each angle-bearing kind in one numpy
-pass over the circuit's angles, and applies the uncontrolled diagonal and
-permutation gates without the general kernel: ``Rz`` and ``ZZMax`` multiply
-a view that gives each target its own axis by their diagonal in place, ``X``
-and ``CNOT`` exchange slices of it. ``circuit_unitary`` keeps the general
-kernel for every gate, so it stays an independent oracle. The energy
-gradient of a symbolic circuit reuses the general kernel in one backward
-pass (adjoint differentiation) and reads its generator rows from the same
+``run_circuit`` and the forward pass of ``energy_gradient`` share one loop:
+the matrices of each angle-bearing kind come from one numpy pass over the
+circuit's angles (``circuits._GATE_MATRICES``, their one definition), and
+the uncontrolled diagonal and permutation gates skip the general kernel:
+``Rz`` and ``ZZMax`` multiply a view that gives each target its own axis by
+their diagonal in place, ``X`` and ``CNOT`` exchange slices of it.
+``circuit_unitary`` applies every gate by the general kernel, so it stays an
+oracle of the direct kernels: its independence lies in the kernel, not in
+the matrices. The gradient's backward pass (adjoint differentiation) undoes
+the gates by the general kernel and reads its generator rows from the same
 block. Subspace matrices are blocks of the operator sum's own kernel.
 """
 from __future__ import annotations
@@ -31,7 +33,7 @@ import functools
 
 import numpy as np
 
-from .circuits import CNOT, G2, G4, PHASEDX, RY, RZ, X, ZZMAX, Circuit, Gate, gate_matrix
+from .circuits import CNOT, G2, G4, RY, RZ, X, ZZMAX, Circuit, _GATE_MATRICES, gate_matrix
 from .configs import StateSpec
 from .paulis import PauliSum
 
@@ -91,11 +93,6 @@ def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets, controls) ->
     return amps
 
 
-def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
-    """Apply one gate in place to a C-contiguous (dim,) or (dim, batch) array."""
-    return _apply_matrix(amps, n, gate_matrix(g.kind, g.params), g.targets, g.controls)
-
-
 @functools.cache
 def _split(n: int, targets) -> tuple[int, ...]:
     """A shape that gives each target its own axis of length 2, in qubit
@@ -133,45 +130,25 @@ def _flip_cnot(state: np.ndarray, n: int, targets, u: np.ndarray) -> None:
 _DIRECT_KERNELS = {RZ: _phase, ZZMAX: _phase, X: _flip_x, CNOT: _flip_cnot}
 
 
-def _rotation_stack(angles: np.ndarray, off_diagonal: complex) -> np.ndarray:
-    """[[c, w s], [-conj(w) s, c]], with c and s the cosine and sine of half
-    of each angle: Ry for w = -1, Rx for w = -1j."""
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
-    m = np.empty((len(angles), 2, 2), dtype=complex)
-    m[:, 0, 0] = m[:, 1, 1] = c
-    m[:, 0, 1] = off_diagonal * s
-    m[:, 1, 0] = -np.conj(off_diagonal) * s
-    return m
-
-
-def _rz_stack(angles: np.ndarray) -> np.ndarray:
-    m = np.zeros((len(angles), 2, 2), dtype=complex)
-    m[:, 0, 0] = np.exp(-1j * angles / 2)
-    m[:, 1, 1] = np.exp(1j * angles / 2)
-    return m
-
-
-def _pattern_stack(angles: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    m = np.zeros((len(angles), size, size), dtype=complex)
-    m[:, range(size), range(size)] = 1
-    m[:, lo, lo] = m[:, hi, hi] = c
-    m[:, lo, hi] = s
-    m[:, hi, lo] = -s
-    return m
-
-
-# The matrices of gate_matrix, built the same way, for the (gates, angles)
-# array of one kind.
-_STACKS = {
-    RY: lambda a: _rotation_stack(a[:, 0], -1.0),
-    RZ: lambda a: _rz_stack(a[:, 0]),
-    PHASEDX: lambda a: _rz_stack(a[:, 1]) @ _rotation_stack(a[:, 0], -1j) @ _rz_stack(-a[:, 1]),
-    G2: lambda a: _pattern_stack(a[:, 0], 4, 0b01, 0b10),
-    G4: lambda a: _pattern_stack(a[:, 0], 16, 0b0011, 0b1100),
-}
-# Below this many gates of a kind, gate_matrix per gate is cheaper.
-_STACK_MIN = 8
+def _forward(state: np.ndarray, n: int, gates, params) -> list[np.ndarray]:
+    """Apply gates with numeric angles params[i] to a state in place and
+    return their matrices, built in one numpy pass per angle-bearing kind."""
+    angles: dict[str, list] = {}
+    for g, p in zip(gates, params):
+        if p:
+            angles.setdefault(g.kind, []).append(p)
+    stacks = {k: iter(_GATE_MATRICES[k](np.array(a, dtype=float))) for k, a in angles.items()}
+    matrices = []
+    for g, p in zip(gates, params):
+        kind = g.kind
+        u = next(stacks[kind]) if p else gate_matrix(kind, ())
+        matrices.append(u)
+        kernel = None if g.controls else _DIRECT_KERNELS.get(kind)
+        if kernel is None:
+            _apply_matrix(state, n, u, g.targets, g.controls)
+        else:
+            kernel(state, n, g.targets, u)
+    return matrices
 
 
 def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -188,23 +165,7 @@ def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         if initial.shape != (1 << n,):
             raise ValueError("input register size mismatch")
         state = initial.astype(complex)
-    angles: dict[str, list] = {}
-    for g in c.gates:
-        if g.params:
-            angles.setdefault(g.kind, []).append(g.params)
-    matrices = {
-        kind: iter(_STACKS[kind](np.array(p, dtype=float))).__next__
-        for kind, p in angles.items() if len(p) >= _STACK_MIN
-    }
-    for g in c.gates:
-        kind = g.kind
-        take = matrices.get(kind)
-        u = take() if take is not None else gate_matrix(kind, g.params)
-        kernel = None if g.controls else _DIRECT_KERNELS.get(kind)
-        if kernel is None:
-            _apply_matrix(state, n, u, g.targets, g.controls)
-        else:
-            kernel(state, n, g.targets, u)
+    _forward(state, n, c.gates, [g.params for g in c.gates])
     return state
 
 
@@ -230,29 +191,26 @@ def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float,
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
     position = {name: k for k, name in enumerate(names)}
+    params = []
+    for g in c.gates:
+        if g.symbols and g.kind not in _GENERATORS:
+            raise ValueError(f"no generator for a symbolic {g.kind} gate")
+        params.append(tuple(angles[position[p]] if isinstance(p, str) else p for p in g.params))
     n = c.n_qubits
     psi = _zero_state(n)
-    steps = []
-    for g in c.gates:
-        symbols = g.symbols
-        if symbols and g.kind not in _GENERATORS:
-            raise ValueError(f"no generator for a symbolic {g.kind} gate")
-        params = tuple(angles[position[p]] if isinstance(p, str) else float(p) for p in g.params)
-        u = gate_matrix(g.kind, params)
-        _apply_matrix(psi, n, u, g.targets, g.controls)
-        if symbols or steps:
-            steps.append((g, u, symbols))
+    matrices = _forward(psi, n, c.gates, params)
     lam = h.apply(psi)
     energy = complex(np.vdot(psi, lam)).real
     pair = np.stack([psi, lam], axis=1)
     grad = np.zeros(len(names))
-    for g, u, symbols in reversed(steps):
+    first = next((i for i, g in enumerate(c.gates) if g.symbols), len(c.gates))
+    for g, u in reversed(list(zip(c.gates, matrices))[first:]):
         view, block = _target_block(pair, n, g.targets, g.controls)
-        if symbols:
+        if g.symbols:
             a, b, w = _GENERATORS[g.kind]
             at_a, at_b = block[a].reshape(-1, 2), block[b].reshape(-1, 2)
             term = np.vdot(at_a[:, 1], at_b[:, 0]) - np.vdot(at_b[:, 1], at_a[:, 0])
-            grad[position[symbols[0]]] += 2 * w * term.real
+            grad[position[g.params[0]]] += 2 * w * term.real
         view[...] = (u.conj().T @ block).reshape(view.shape)
     return energy, grad
 
@@ -265,7 +223,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
         raise ValueError(f"circuit has unbound parameters {c.parameters}")
     mat = np.eye(1 << c.n_qubits, dtype=complex)
     for g in c.gates:
-        _apply_gate(mat, c.n_qubits, g)
+        _apply_matrix(mat, c.n_qubits, gate_matrix(g.kind, g.params), g.targets, g.controls)
     return mat
 
 

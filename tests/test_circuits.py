@@ -1,8 +1,10 @@
 """Gate, template, and compiler tests against dense embedding oracles."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mcprep import circuits
 from mcprep.algorithms import synthesize
@@ -141,6 +143,49 @@ def test_parameterless_matrices_are_shared_read_only_literals():
             m[0, 0] = 2.0
 
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def plane_generator(n: int, source: str, image: str) -> np.ndarray:
+    """|image><source| - |source><image| over n qubits: exp(theta * it) sends
+    |source> to cos(theta)|source> + sin(theta)|image>."""
+    a = np.zeros((1 << n, 1 << n), dtype=complex)
+    a[int(image, 2), int(source, 2)] = 1.0
+    a[int(source, 2), int(image, 2)] = -1.0
+    return a
+
+
+# Each angle-bearing kind as the exponential of its generator, independent of
+# the cosines and sines of the matrix builder.
+EXPONENTIALS = {
+    RY: lambda t: scipy.linalg.expm(-0.5j * t * PAULI_Y),
+    RZ: lambda t: scipy.linalg.expm(-0.5j * t * PAULI_Z),
+    PHASEDX: lambda a, b: scipy.linalg.expm(-0.5j * a * (math.cos(b) * PAULI_X + math.sin(b) * PAULI_Y)),
+    G2: lambda t: scipy.linalg.expm(t * plane_generator(2, "10", "01")),
+    G4: lambda t: scipy.linalg.expm(t * plane_generator(4, "1100", "0011")),
+}
+
+
+def test_gate_matrices_match_exponentials_of_generators():
+    rng = np.random.default_rng(29)
+    specials = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi]
+    for kind, exponential in EXPONENTIALS.items():
+        arity = PARAM_ARITY[kind]
+        rows = list(itertools.product(specials, repeat=arity))
+        rows += [tuple(rng.uniform(-7, 7, arity)) for _ in range(40)]
+        stack = circuits._GATE_MATRICES[kind](np.array(rows, dtype=float))
+        assert stack.shape == (len(rows),) + exponential(*rows[0]).shape
+        for params, stacked in zip(rows, stack):
+            want = exponential(*params)
+            assert np.abs(stacked - want).max() < 1e-13, (kind, params)
+            assert np.abs(gate_matrix(kind, params) - want).max() < 1e-13, (kind, params)
+    for params in ((0.1,), ()):
+        with pytest.raises(ValueError, match="unknown gate kind 'Q'"):
+            gate_matrix("Q", params)
+
+
 def test_g2_matrix_rotates_single_excitation_plane():
     theta = 0.37
     m = gate_matrix(G2, (theta,))
@@ -269,6 +314,47 @@ def test_g4_template_matches_analytic_unitary(gateset_name):
     assert max_phase_deviation(circuit_unitary(body), embed_gate(g, 4)) < 1e-10
 
 
+def test_multiplexed_rotation_takes_closed_form_angles():
+    # Rotation i of a k-control multiplexor turns the target by
+    # +-angle / 2**k, negative when the control pattern shares an odd number
+    # of bits with the Gray code i ^ (i >> 1); compiled, the multiplexor is
+    # the controlled rotation up to a global phase.
+    rng = np.random.default_rng(37)
+    for k in range(1, 6):
+        for pattern in range(1 << k):
+            wires = [int(q) for q in rng.permutation(k + 1)]
+            target = wires[0]
+            controls = tuple((q, (pattern >> (k - 1 - j)) & 1) for j, q in enumerate(wires[1:]))
+            for kind in (RY, RZ):
+                angle = float(rng.uniform(-7, 7))
+                recs = circuits._multiplexed_rotation(kind, target, controls, angle)
+                assert len(recs) == 2 << k
+                for i, (rot_kind, targets, rot_controls, (share,)) in enumerate(recs[::2]):
+                    sign = -1.0 if bin(pattern & (i ^ i >> 1)).count("1") % 2 else 1.0
+                    assert (rot_kind, targets, rot_controls) == (kind, (target,), ())
+                    assert share.hex() == (sign * angle / 2**k).hex(), (k, pattern, i)
+                assert {rec[0] for rec in recs[1::2]} == {CNOT}
+                g = Gate(kind, (target,), controls, (angle,))
+                for name in ("cx", "zz"):
+                    compiled = compile_circuit(Circuit(k + 1, (g,)), gateset_by_name(name))
+                    assert max_phase_deviation(circuit_unitary(compiled), embed_gate(g, k + 1)) < 1e-12
+
+
+def test_compilation_is_deterministic():
+    # Compiling a circuit again, after other compilations, writes the same
+    # bytes: nothing carries over from one compilation to the next.
+    from mcprep.fileio import circuit_to_json
+
+    first = synthesize(cisd_spec(4, 2), "ssp")
+    others = [synthesize(cisd_spec(3, 2), "gr"), *seeded_random_circuits()]
+    for name in ("cx", "zz"):
+        gs = gateset_by_name(name)
+        before = circuit_to_json(compile_circuit(first, gs))
+        for c in others:
+            compile_circuit(c, gs)
+        assert circuit_to_json(compile_circuit(first, gs)) == before
+
+
 def test_g4_compiles_to_fourteen_two_qubit_gates():
     for gateset_name in ("cx", "zz"):
         c = Circuit(4, (g4_gate(0, 1, 2, 3, 0.387),))
@@ -360,10 +446,10 @@ def full_fixed_point(c: Circuit, gs) -> tuple[Circuit, int]:
     bits included, with every output record going through the validating
     constructors. Returns the circuit and the number of rounds that changed
     the records."""
-    rotations, runs = {}, {}
+    runs = {}
     recs = []
     for g in c.gates:
-        recs.extend(circuits._decompose((g.kind, g.targets, g.controls, g.params), gs, rotations))
+        recs.extend(circuits._decompose((g.kind, g.targets, g.controls, g.params), gs))
     for rounds in range(100):
         new = circuits._peephole_pass(recs)
         if gs.name == "zz":

@@ -13,7 +13,7 @@ from mcprep.circuits import CNOT, G2, PHASEDX, RY, RZ, Circuit, Gate, compile_ci
 from mcprep.configs import SpecValidationError, cisd_excitations, hartree_fock_config
 from mcprep.simulator import exact_spectrum, expectation, spec_state
 
-from tests.test_circuits import CISD_SIZES, corpus_specs, random_circuit
+from tests.test_circuits import CISD_SIZES, cisd_spec, corpus_specs, random_circuit
 
 SPEC_TEXT = "0.8 1100\n0.6 0110\n"
 
@@ -213,6 +213,11 @@ def test_circuit_to_json_writes_what_json_dumps_writes():
         text = fileio.circuit_to_json(c)
         assert text == json_dumps_reference(c)
         assert fileio.circuit_from_json(text) == through_file(c)
+        # synth simulates as_written(c): the angles of the file, bit for bit,
+        # and a file of them is the same bytes.
+        written = fileio.as_written(c)
+        assert repr(written) == repr(fileio.circuit_from_json(text))
+        assert fileio.circuit_to_json(written) == text
 
 
 def test_circuit_json_rejections():
@@ -310,6 +315,21 @@ def test_cli_synth_verify_chain(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["verify", "--spec", spec_path, "--circuit", out_path])
     assert code == 0
     assert report["verified"] is True
+
+
+def test_cli_synth_reports_the_fidelity_verify_reports(tmp_path, capsys):
+    # The file stores angles in units of pi, so 414 of the 7,145 angles of
+    # this CISD(4,4) gr/cx circuit read back one rounding step off; synth
+    # simulates the angles as read back, and both report one fidelity.
+    spec = cisd_spec(4, 4)
+    spec_path = write(tmp_path, "cisd44.txt", "".join(f"{a!r} {x}\n" for a, x in spec.entries))
+    out_path = str(tmp_path / "circuit.json")
+    argv = ["synth", "--spec", spec_path, "--method", "gr", "--gateset", "cx", "--out", out_path]
+    code, synth, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, verify, _ = run_cli(capsys, ["verify", "--spec", spec_path, "--circuit", out_path])
+    assert code == 0
+    assert synth["fidelity"].hex() == verify["fidelity"].hex()
 
 
 def test_cli_synth_withholds_artifact_when_verification_fails(tmp_path, capsys, monkeypatch):

@@ -27,12 +27,10 @@ from mcprep.circuits import (
     x_gate,
     zzmax_gate,
 )
-from mcprep import simulator
 from mcprep.configs import OnConfig, generate_cisd_configs, validate_spec
 from mcprep.givens import synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord
 from mcprep.simulator import (
-    _apply_gate,
     _apply_matrix,
     circuit_unitary,
     energy_gradient,
@@ -149,23 +147,36 @@ def per_gate_state(c: Circuit, initial: np.ndarray) -> np.ndarray:
     """The per-gate kernel of circuit_unitary, on one column."""
     state = initial.astype(complex)
     for g in c.gates:
-        _apply_gate(state, c.n_qubits, g)
+        _apply_matrix(state, c.n_qubits, gate_matrix(g.kind, g.params), g.targets, g.controls)
     return state
 
 
-@pytest.mark.parametrize("stack_min", [1, None])
-def test_run_circuit_direct_kernels_match_per_gate_kernel(monkeypatch, stack_min):
-    # run_circuit builds matrices per kind (for every kind when stack_min is
-    # 1) and applies uncontrolled Rz, ZZMax, X and CNOT by direct kernels;
-    # circuit_unitary keeps the per-gate kernel. Up to 8 qubits the oracle is
-    # circuit_unitary itself; above, its kernel runs on the one column, which
-    # keeps the 12-qubit case at 64 KB instead of a 256 MB matrix.
-    if stack_min is not None:
-        monkeypatch.setattr(simulator, "_STACK_MIN", stack_min)
+def one_of_each_angle_kind(rng, n: int) -> Circuit:
+    """Exactly one gate of each angle-bearing kind that fits the register,
+    each with up to two controls of mixed states: one-row matrix stacks."""
+    gates = []
+    for kind in (RY, RZ, PHASEDX, G2, G4):
+        if TARGET_ARITY[kind] > n:
+            continue
+        wires = [int(q) for q in rng.permutation(n)]
+        m = TARGET_ARITY[kind]
+        controls = tuple((q, int(rng.integers(2))) for q in wires[m:m + int(rng.integers(3))])
+        params = tuple(float(rng.uniform(-7, 7)) for _ in range(PARAM_ARITY[kind]))
+        gates.append(Gate(kind, tuple(wires[:m]), controls, params))
+    return Circuit(n, tuple(gates[i] for i in rng.permutation(len(gates))))
+
+
+def test_run_circuit_direct_kernels_match_per_gate_kernel():
+    # run_circuit builds the matrices of each kind in one stack and applies
+    # uncontrolled Rz, ZZMax, X and CNOT by direct kernels; circuit_unitary
+    # keeps the per-gate kernel. Up to 8 qubits the oracle is circuit_unitary
+    # itself; above, its kernel runs on the one column, which keeps the
+    # 12-qubit case at 64 KB instead of a 256 MB matrix.
     rng = np.random.default_rng(53)
     for n in range(1, 13):
-        for _ in range(12 if n <= 8 else 4):
-            c = random_kind_circuit(rng, n)
+        cases = [random_kind_circuit(rng, n) for _ in range(12 if n <= 8 else 4)]
+        cases.append(one_of_each_angle_kind(rng, n))
+        for c in cases:
             zero = np.zeros(1 << n, dtype=complex)
             zero[0] = 1
             if n <= 8:
