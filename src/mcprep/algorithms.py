@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, bind_parameters, compile_circuit, count_resources, gateset_by_name
+from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
 from .configs import OnConfig, StateSpec, apply_excitation, hamming, validate_spec
 from .givens import synthesize_gr
 from .paulis import PauliSum
@@ -106,13 +106,13 @@ def cmx2(c: CumulantSet) -> float:
     return c.c1 - c.c2**2 / c.c3
 
 
-def synthesize(spec: StateSpec, method: str, symbolic: bool = False) -> Circuit:
+def synthesize(spec: StateSpec, method: str) -> Circuit:
     """Preparation circuit of a spec by controlled Givens rotations (``gr``)
     or by pairwise merging (``ssp``)."""
     if method == "gr":
-        return synthesize_gr(spec, symbolic=symbolic)
+        return synthesize_gr(spec)
     if method == "ssp":
-        return synthesize_ssp(spec, symbolic=symbolic)
+        return synthesize_ssp(spec)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -293,41 +293,57 @@ def vqe_minimize(
     seed: int = 0,
     maxiter: int = 500,
 ) -> VqeResult:
-    """Minimize <H> over the preparation circuit's free angles.
+    """Minimize <H> over the angles of the preparation circuit's rotations.
 
-    The circuit structure comes from the spec's support set; the spec's
-    coefficients only matter as one possible point on the manifold. Runs
-    BFGS on exact adjoint gradients from uniformly random starts, the first
-    of which is all-zero angles (the reference) for ``gr``; ``restarts``
-    counts every start and, like ``maxiter``,
-    must be at least 1. ``stop_reason`` is the best start's (see ``_bfgs``);
-    a circuit without angles is a stationary point, ``gradient``.
+    The circuit is the one synthesized for equal weights over the spec's
+    configurations: its structure comes from their order (``gr``) or support
+    set (``ssp``) alone, and every ``gr`` angle is defined. Rotation k is
+    theta_k, counted in gate order for ``gr`` and from the last gate for
+    ``ssp``; the optimizer's variables and ``parameters`` follow the string
+    order of the names. Runs BFGS on exact adjoint gradients from uniformly
+    random starts, the first of which is all-zero angles (the reference) for
+    ``gr``; ``restarts`` counts every start and, like ``maxiter``, must be at
+    least 1. ``stop_reason`` is the best start's (see ``_bfgs``); a circuit
+    without angles is a stationary point, ``gradient``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
-    circuit = synthesize(spec, method, symbolic=True)
-    names = circuit.parameters
-    if not names:
+    equal = 1 / math.sqrt(spec.size)
+    circuit = synthesize(StateSpec(tuple((equal, x) for x in spec.configs), spec.n_q), method)
+    rotations = [k for k, g in enumerate(circuit.gates) if g.params]
+    m = len(rotations)
+    if not m:
         state = run_circuit(circuit)
         return VqeResult(expectation(state, h), {}, state, 0, "gradient")
+    names = [f"theta_{k + 1 if method == 'gr' else m - k}" for k in range(m)]
+    order = sorted(range(m), key=names.__getitem__)  # variable j is rotation order[j]
+
+    def energy(v: np.ndarray) -> tuple[float, np.ndarray]:
+        angles = np.empty(m)
+        angles[order] = v
+        value, grad = energy_gradient(circuit, angles, h)
+        return value, grad[order]
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = []
     if method == "gr":
-        starts.append(np.zeros(len(names)))
+        starts.append(np.zeros(m))
     while len(starts) < restarts:
-        starts.append(rng.uniform(-math.pi, math.pi, len(names)))
+        starts.append(rng.uniform(-math.pi, math.pi, m))
 
     best: _Minimum | None = None
     for x0 in starts:
-        result = _bfgs(lambda v: energy_gradient(circuit, v, h), x0, maxiter)
+        result = _bfgs(energy, x0, maxiter)
         if best is None or result.f < best.f:
             best = result
-    assignment = dict(zip(names, (float(v) for v in best.x)))
-    state = run_circuit(bind_parameters(circuit, assignment))
-    return VqeResult(best.f, assignment, state, len(starts), best.stop_reason)
+    parameters, gates = {}, list(circuit.gates)
+    for k, v in zip(order, best.x):
+        parameters[names[k]] = float(v)
+        gates[rotations[k]] = dataclasses.replace(gates[rotations[k]], params=(float(v),))
+    state = run_circuit(Circuit(circuit.n_qubits, tuple(gates)))
+    return VqeResult(best.f, parameters, state, len(starts), best.stop_reason)
 
 
 # --- time-series phase estimation --------------------------------------------

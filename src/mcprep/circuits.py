@@ -19,8 +19,9 @@ those of many gates in one numpy pass; ``gate_matrix`` is its one-row case.
 Controlled rotations compile through a Gray-code multiplexor with closed-form
 angles, +-angle / 2^k for k controls (Möttönen et al., PRL 93, 130502, 2004).
 
-Angle bookkeeping is in radians everywhere in memory; serialization converts
-to units of pi at the file boundary (see fileio).
+Every angle is a real number, in radians everywhere in memory; ``Gate``
+rejects any other value, so nothing downstream checks again. Serialization
+converts to units of pi at the file boundary (see fileio).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 import struct
 from typing import Iterable
 
@@ -50,21 +52,15 @@ PARAM_ARITY = {X: 0, RY: 1, RZ: 1, PHASEDX: 2, CNOT: 0, ZZMAX: 0, SWAP: 0, G2: 1
 _NULL_EPS = 1e-12
 
 
-class UnboundParameterError(ValueError):
-    """Raised when an operation needs numeric angles but symbols remain."""
-
-
 @dataclasses.dataclass(frozen=True)
 class Gate:
-    """Single gate instance: kind, target wires, optional controls, angles.
-
-    Angles may be floats (radians) or strings naming free parameters.
-    """
+    """Single gate instance: kind, target wires, optional controls, angles
+    (real numbers, in radians)."""
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
-    params: tuple[float | str, ...] = ()
+    params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         arity = TARGET_ARITY.get(self.kind)
@@ -78,6 +74,9 @@ class Gate:
             raise ValueError(
                 f"{self.kind} needs {PARAM_ARITY[self.kind]} angles, got {len(self.params)}"
             )
+        for p in self.params:
+            if not isinstance(p, numbers.Real):
+                raise ValueError(f"{self.kind} angle {p!r} must be a real number")
         if not self.controls:
             return
         ctrl_qubits = [q for q, _ in self.controls]
@@ -91,14 +90,6 @@ class Gate:
     @property
     def wires(self) -> tuple[int, ...]:
         return self.targets + tuple(q for q, _ in self.controls) if self.controls else self.targets
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(p for p in self.params if isinstance(p, str))
-
-    def bound(self, values: dict[str, float]) -> Gate:
-        params = tuple(values[p] if isinstance(p, str) else p for p in self.params)
-        return dataclasses.replace(self, params=params)
 
 
 _new = object.__new__
@@ -179,30 +170,13 @@ class Circuit:
             if bad:
                 raise ValueError(f"gate wires {bad} outside register of {self.n_qubits}")
 
-    @functools.cached_property
-    def parameters(self) -> tuple[str, ...]:
-        return tuple(sorted({p for g in self.gates for p in g.params if isinstance(p, str)}))
 
-
-def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...], parameters: tuple[str, ...]) -> Circuit:
-    """A Circuit whose wires and free parameters its caller has already
-    checked and collected, built without walking its gates again."""
+def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit whose wires its caller has already checked, built without
+    walking its gates again."""
     c = _new(Circuit)
-    c.__dict__.update(n_qubits=n_qubits, gates=gates, parameters=parameters)
+    c.__dict__.update(n_qubits=n_qubits, gates=gates)
     return c
-
-
-def bind_parameters(c: Circuit, values: dict[str, float]) -> Circuit:
-    names = set(c.parameters)
-    missing = sorted(names - values.keys())
-    extraneous = sorted(values.keys() - names)
-    if missing:
-        raise ValueError(f"missing parameter values for {missing}")
-    if extraneous:
-        raise ValueError(f"extraneous parameter values for {extraneous}")
-    if not names:
-        return c
-    return Circuit(c.n_qubits, tuple(g.bound(values) if g.symbols else g for g in c.gates))
 
 
 # --- gate matrices -----------------------------------------------------------
@@ -368,12 +342,12 @@ def _euler_angles(u: np.ndarray, axis: str) -> tuple[float, float, float, float]
     su = u * np.exp(-1j * delta)
     b = 2 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
     if abs(su[1, 0]) < 1e-14:
-        a, c = -2 * np.angle(su[0, 0]), 0.0
+        a, c = -2 * float(np.angle(su[0, 0])), 0.0
     elif abs(su[0, 0]) < 1e-14:
-        a, c = 2 * np.angle(su[1, 0]) + turn, 0.0
+        a, c = 2 * float(np.angle(su[1, 0])) + turn, 0.0
     else:
-        apc = -2 * np.angle(su[0, 0])
-        amc = 2 * np.angle(su[1, 0]) + turn
+        apc = -2 * float(np.angle(su[0, 0]))
+        amc = 2 * float(np.angle(su[1, 0])) + turn
         a, c = (apc + amc) / 2, (apc - amc) / 2
     return a, b, c, delta
 
@@ -604,8 +578,6 @@ def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
     (and, for zz, consolidation) on the same expansion, so the tests check
     each template alone, before simplification, through this.
     """
-    if g.symbols:
-        raise UnboundParameterError(f"unbound parameters {g.symbols} on {g.kind}")
     if g.kind in gateset.kinds and not g.controls:
         return [g]
     return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset)]
@@ -767,8 +739,6 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
     Each stage leaves nothing for a second one to do. Preserves the unitary
     up to a global phase.
     """
-    if c.parameters:
-        raise UnboundParameterError(f"compile needs bound angles; free: {c.parameters}")
     recs: list[tuple] = []
     for g in c.gates:
         recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset))
@@ -779,7 +749,7 @@ def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
         if rec[0] not in gateset.kinds or rec[2]:
             raise RuntimeError(f"gate {Gate(*rec)} escaped compilation to {gateset.name}")
     # Expansion emits wires only from the input's gates, so the register holds them.
-    return _checked_circuit(c.n_qubits, tuple(itertools.starmap(_checked_gate, recs)), ())
+    return _checked_circuit(c.n_qubits, tuple(itertools.starmap(_checked_gate, recs)))
 
 
 # --- resource accounting ------------------------------------------------------

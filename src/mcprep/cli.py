@@ -79,6 +79,11 @@ def _cmd_synth(args) -> int:
             raise ValueError(f"no spec files in {args.spec_dir}")
         out_dir = pathlib.Path(args.out) if args.out else None
         if out_dir:
+            by_stem: dict[str, pathlib.Path] = {}
+            for path in paths:
+                if (other := by_stem.setdefault(path.stem, path)) != path:
+                    raise ValueError(f"spec files {other} and {path} would both write "
+                                     f"{path.stem}.circuit.json")
             out_dir.mkdir(parents=True, exist_ok=True)
         results = []
         for path in paths:
@@ -97,8 +102,6 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tolerance must be finite, at least 0 and below 1, got {args.tolerance}")
     spec = fileio.parse_state_spec(_read(args.spec))
     circuit = fileio.circuit_from_json(_read(args.circuit))
-    if circuit.parameters:
-        raise fileio.ParseError(f"circuit has unbound parameters {list(circuit.parameters)}")
     fidelity = fidelity_up_to_phase(run_circuit(circuit), spec_state(spec))
     ok = fidelity >= 1 - args.tolerance
     _emit(
@@ -229,8 +232,6 @@ def _cmd_sceom(args) -> int:
     excitations = cisd_excitations(hf)
     if args.ansatz:
         ansatz = fileio.circuit_from_json(_read(args.ansatz))
-        if ansatz.parameters:
-            raise fileio.ParseError("ansatz circuit has unbound parameters")
     else:
         ansatz = Circuit(h.n_qubits, ())
     m = algorithms.sceom_m_matrix(h, hf, excitations, ansatz, prep_method=args.prep)
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--orbitals", type=int, required=True)
     p.add_argument("--electrons", type=int, required=True)
-    p.add_argument("--ansatz", help="bound circuit JSON applied after each probe prep")
+    p.add_argument("--ansatz", help="circuit JSON applied after each probe prep")
     p.add_argument("--prep", choices=("gr", "ssp"), default="gr")
     p.add_argument("--element-resources", action="store_true")
     p.add_argument("--gateset", choices=("zz", "cx"), default="zz")

@@ -1,8 +1,8 @@
 """Text and JSON serialization.
 
 Hamiltonians and state specs use a line-oriented plain-text format with
-``#`` comments. Circuits use a JSON document whose numeric angles are stored
-in units of pi; symbolic angles stay as name strings.
+``#`` comments. Circuits use a JSON document whose angles are numbers stored
+in units of pi.
 """
 from __future__ import annotations
 
@@ -94,23 +94,18 @@ def parse_state_spec(text: str) -> StateSpec:
 
 
 def _angle_text(value) -> str:
-    """An angle as json writes it: a name as a JSON string, a number in units
-    of pi by float.__repr__."""
-    if isinstance(value, str):
-        return json.dumps(value)
+    """An angle as json writes it: in units of pi, by float.__repr__."""
     turns = float(value) / math.pi
     return float.__repr__(turns) if math.isfinite(turns) else json.dumps(turns)
 
 
-def _angle_from_json(value, position: int):
-    if isinstance(value, str):
-        return value
+def _angle_from_json(value, position: int) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         angle = float(value) * math.pi
         if not math.isfinite(angle):
             raise ParseError(f"gate {position}: angle {value!r} is not finite")
         return angle
-    raise ParseError(f"gate {position}: angle {value!r} must be a number or a name")
+    raise ParseError(f"gate {position}: angle {value!r} must be a number")
 
 
 _INT = frozenset({int})
@@ -168,15 +163,15 @@ def circuit_to_json(c: Circuit) -> str:
 
 def as_written(c: Circuit) -> Circuit:
     """The circuit circuit_from_json reads back from circuit_to_json(c): the
-    file holds each numeric angle p as repr(p / pi), which round-trips, so p
-    comes back as (p / pi) * pi."""
+    file holds each angle p as repr(p / pi), which round-trips, so p comes
+    back as (p / pi) * pi."""
     gates = tuple(
         _checked_gate(g.kind, g.targets, g.controls, tuple(
-            p if isinstance(p, str) else float(p) / math.pi * math.pi for p in g.params
+            float(p) / math.pi * math.pi for p in g.params
         )) if g.params else g
         for g in c.gates
     )
-    return _checked_circuit(c.n_qubits, gates, c.parameters)
+    return _checked_circuit(c.n_qubits, gates)
 
 
 _GATE_FIELDS = frozenset({"kind", "targets", "controls", "angle"})
@@ -200,7 +195,6 @@ def circuit_from_json(text: str) -> Circuit:
     if not isinstance(doc["gates"], list):
         raise ParseError(f"'gates' must be a list, got {doc['gates']!r}")
     gates = []
-    names = set()
     checked: dict[tuple, Gate] = {}  # the first gate of each checked shape
     outside = False
     for position, entry in enumerate(doc["gates"]):
@@ -248,12 +242,9 @@ def circuit_from_json(text: str) -> Circuit:
             gates.append(_checked_gate(kind, targets, controls, params))
         else:
             gates.append(first)  # Gates are immutable: one object per angle-free shape
-        for p in params:
-            if isinstance(p, str):
-                names.add(p)
     if outside or n_qubits <= 0:
         try:
             Circuit(n_qubits, tuple(gates))
         except ValueError as err:
             raise ParseError(str(err)) from None
-    return _checked_circuit(n_qubits, tuple(gates), tuple(sorted(names)))
+    return _checked_circuit(n_qubits, tuple(gates))

@@ -218,28 +218,20 @@ def _rotation_gates(rot: PlannedRotation, angle) -> list[Gate]:
     return walk + [rotate(*rot.targets, angle, rot.controls)] + walk[::-1]
 
 
-def synthesize_gr(
-    spec: StateSpec,
-    symbolic: bool = False,
-    include_reference_prep: bool = True,
-) -> Circuit:
+def synthesize_gr(spec: StateSpec, include_reference_prep: bool = True) -> Circuit:
     """Rotation-ladder preparation circuit for a state specification.
 
     Entry order is taken as given: the first entry is the reference. With
     include_reference_prep the circuit starts from X gates building the
     reference out of |0...0>; without it the circuit maps |reference> to the
-    target, which is the form a ground-state ansatz needs. Symbolic mode
-    leaves one named angle per rotation.
+    target, which is the form a ground-state ansatz needs. Each rotation is
+    one G2 or G4 gate, the only angle-bearing gates of the circuit.
     """
     plan = plan_rotations(spec.configs)
     gates: list[Gate] = []
     if include_reference_prep:
         gates.extend(x_gate(q) for q in plan.configs[0].occupied)
-    if symbolic:
-        angles: list[float | str] = [f"theta_{i}" for i in range(1, len(plan.rotations) + 1)]
-    else:
-        angles = list(angles_from_coefficients(spec.coefficients))
-    for rot, angle in zip(plan.rotations, angles):
+    for rot, angle in zip(plan.rotations, angles_from_coefficients(spec.coefficients)):
         gates.extend(_rotation_gates(rot, angle))
     return Circuit(spec.n_q, tuple(gates))
 

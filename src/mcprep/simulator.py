@@ -152,12 +152,9 @@ def _forward(state: np.ndarray, n: int, gates, params) -> list[np.ndarray]:
 
 
 def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Apply a fully bound circuit to a copy of an input state (default all
-    zeros)."""
+    """Apply a circuit to a copy of an input state (default all zeros)."""
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
-    if c.parameters:
-        raise ValueError(f"circuit has unbound parameters {c.parameters}")
     n = c.n_qubits
     if initial is None:
         state = _zero_state(n)
@@ -169,7 +166,7 @@ def run_circuit(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     return state
 
 
-# Each kind that may carry a symbolic angle has dU/dtheta = A U over its
+# Each kind whose angle may be varied has dU/dtheta = A U over its
 # targets with a generator A that is w at (a, b), -w at (b, a) and zero
 # elsewhere; the entries are (a, b, w) with the first target as the most
 # significant bit of a pattern.
@@ -177,40 +174,42 @@ _GENERATORS = {RY: (0b0, 0b1, -0.5), G2: (0b01, 0b10, 1.0), G4: (0b0011, 0b1100,
 
 
 def energy_gradient(c: Circuit, angles: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
-    """<H> in the state the circuit prepares from |0...0>, with the angles
-    taken in the order of ``c.parameters``, and its gradient in that order.
+    """<H> in the state the circuit prepares from |0...0> with angles[k] in
+    place of the angle of its k-th angle-bearing gate, and the gradient over
+    those angles. Every angle-bearing gate must be an Ry, G2 or G4.
 
     Adjoint differentiation: a forward pass prepares psi and lambda = H psi;
-    a backward pass undoes the gates on both down to the first symbolic one,
-    and every symbolic gate adds 2 Re <lambda| P_c A |psi>, where P_c
-    projects on its control states and A is its generator.
+    a backward pass undoes the gates on both down to the first angle-bearing
+    one, and every angle-bearing gate adds 2 Re <lambda| P_c A |psi>, where
+    P_c projects on its control states and A is its generator.
     """
-    names = c.parameters
-    if len(angles) != len(names):
-        raise ValueError(f"expected {len(names)} angles, got {len(angles)}")
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ValueError(f"{c.n_qubits} qubits exceeds simulation budget {MAX_SIM_QUBITS}")
-    position = {name: k for k, name in enumerate(names)}
-    params = []
-    for g in c.gates:
-        if g.symbols and g.kind not in _GENERATORS:
-            raise ValueError(f"no generator for a symbolic {g.kind} gate")
-        params.append(tuple(angles[position[p]] if isinstance(p, str) else p for p in g.params))
+    rotations = [k for k, g in enumerate(c.gates) if g.params]
+    if len(angles) != len(rotations):
+        raise ValueError(f"expected {len(rotations)} angles, got {len(angles)}")
+    params = [g.params for g in c.gates]
+    for k, angle in zip(rotations, angles):
+        if c.gates[k].kind not in _GENERATORS:
+            raise ValueError(f"no generator for an angle of a {c.gates[k].kind} gate")
+        params[k] = (angle,)
     n = c.n_qubits
     psi = _zero_state(n)
     matrices = _forward(psi, n, c.gates, params)
     lam = h.apply(psi)
     energy = complex(np.vdot(psi, lam)).real
     pair = np.stack([psi, lam], axis=1)
-    grad = np.zeros(len(names))
-    first = next((i for i, g in enumerate(c.gates) if g.symbols), len(c.gates))
+    grad = np.zeros(len(rotations))
+    k = len(rotations)
+    first = rotations[0] if rotations else len(c.gates)
     for g, u in reversed(list(zip(c.gates, matrices))[first:]):
         view, block = _target_block(pair, n, g.targets, g.controls)
-        if g.symbols:
+        if g.params:
             a, b, w = _GENERATORS[g.kind]
             at_a, at_b = block[a].reshape(-1, 2), block[b].reshape(-1, 2)
             term = np.vdot(at_a[:, 1], at_b[:, 0]) - np.vdot(at_b[:, 1], at_a[:, 0])
-            grad[position[g.params[0]]] += 2 * w * term.real
+            k -= 1
+            grad[k] += 2 * w * term.real
         view[...] = (u.conj().T @ block).reshape(view.shape)
     return energy, grad
 
@@ -219,8 +218,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full matrix of a circuit, columns = images of basis states."""
     if c.n_qubits > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary extraction capped at {MAX_UNITARY_QUBITS} qubits")
-    if c.parameters:
-        raise ValueError(f"circuit has unbound parameters {c.parameters}")
     mat = np.eye(1 << c.n_qubits, dtype=complex)
     for g in c.gates:
         _apply_matrix(mat, c.n_qubits, gate_matrix(g.kind, g.params), g.targets, g.controls)

@@ -153,18 +153,16 @@ def plan_merges(spec: StateSpec) -> tuple[list[MergeStep], OnConfig]:
     return steps, OnConfig(tuple(survivor >> (n - 1 - q) & 1 for q in range(n)))
 
 
-def synthesize_ssp(spec: StateSpec, symbolic: bool = False) -> Circuit:
+def synthesize_ssp(spec: StateSpec) -> Circuit:
     """Preparation circuit mapping |0...0> to the specified state.
 
-    One (possibly controlled) pivot rotation per merge; symbolic mode names
-    those angles theta_1.. in merge order while keeping the CNOT/X frame.
+    One (possibly controlled) pivot Ry per merge, the only angle-bearing
+    gates of the circuit, in reverse merge order.
     """
     steps, survivor = plan_merges(spec)
     gates: list[Gate] = [x_gate(q) for q in survivor.occupied]
-    for i, step in enumerate(reversed(steps)):
-        index = len(steps) - i
-        angle = f"theta_{index}" if symbolic else -step.pivot_rotation
-        gates.append(ry_gate(step.pivot, angle, step.controls))
+    for step in reversed(steps):
+        gates.append(ry_gate(step.pivot, -step.pivot_rotation, step.controls))
         gates.extend(cnot_gate(step.pivot, q) for q in reversed(step.conjugations))
     return Circuit(spec.n_q, tuple(gates))
 

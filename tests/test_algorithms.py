@@ -34,7 +34,7 @@ from mcprep.configs import (
     hamming,
     validate_spec,
 )
-from mcprep.givens import synthesize_gr
+from mcprep.givens import AngleUnderflowError, synthesize_gr
 from mcprep.paulis import PauliSum, PauliWord, apply_word
 from mcprep.simulator import (
     MAX_DENSE_EIGEN_QUBITS,
@@ -49,7 +49,7 @@ from mcprep.simulator import (
 )
 
 from tests.test_paulis import conserving_sum
-from tests.test_simulator import basis_state, random_state
+from tests.test_simulator import basis_state, random_state, with_angles
 
 
 def random_sum(rng, n: int, terms: int) -> PauliSum:
@@ -212,6 +212,39 @@ def test_vqe_single_configuration_has_no_parameters():
     )
 
 
+def test_vqe_names_rotations_as_the_synthesizers_number_them():
+    rng = np.random.default_rng(76)
+    # CISD(4,2) has 15 rotations, so string order differs from numeric order.
+    for support in (TWO_ORBITAL_SECTOR, [str(x) for x in generate_cisd_configs(4, 2)]):
+        spec = validate_spec([(1 / math.sqrt(len(support)), s) for s in support])
+        h = number_conserving_hamiltonian(rng, len(support[0]))
+        names = [f"theta_{k}" for k in range(1, len(support))]
+        for method in ("gr", "ssp"):
+            result = vqe_minimize(h, spec, method, restarts=1, seed=8, maxiter=3)
+            assert list(result.parameters) == sorted(names)
+            # gr counts rotations in gate order, ssp from the last gate.
+            in_gate_order = names if method == "gr" else names[::-1]
+            circuit = with_angles(
+                synthesize(spec, method), [result.parameters[name] for name in in_gate_order]
+            )
+            assert np.array_equal(run_circuit(circuit), result.state)
+            assert expectation(result.state, h) == pytest.approx(result.energy, abs=1e-12)
+    assert sorted(names) != names
+
+
+def test_vqe_runs_where_the_spec_angles_underflow():
+    spec = validate_spec([(1e-13, "1100"), (1.0, "1010"), (1e-13, "0110")])
+    with pytest.raises(AngleUnderflowError):
+        synthesize_gr(spec)
+    h = number_conserving_hamiltonian(np.random.default_rng(75), 4)
+    result = vqe_minimize(h, spec, "gr", restarts=2, seed=3)
+    assert float(result.energy).hex() == "-0x1.c164b10be1bb1p+1"
+    assert {k: v.hex() for k, v in result.parameters.items()} == {
+        "theta_1": "0x1.095d42e0ec3b9p-3", "theta_2": "-0x1.58162ec86e311p+0",
+    }
+    assert (result.stop_reason, result.restarts_used) == ("gradient", 2)
+
+
 def test_vqe_rejects_unknown_method():
     h = PauliSum.from_terms([(1.0, "ZZ")])
     spec = validate_spec([(1.0, "10")])
@@ -235,13 +268,13 @@ def convex_quadratic(rng, n: int):
 
 
 def vqe_energy(rng, method: str):
-    """The 6-qubit CISD(3,2) ansatz energy of a seeded operator, as
-    vqe_minimize hands it to the optimizer, with a random start."""
+    """The 6-qubit CISD(3,2) ansatz energy of a seeded operator over the
+    circuit's rotation angles in gate order, with a random start."""
     cisd = [str(x) for x in generate_cisd_configs(3, 2)]
     spec = validate_spec([(1 / math.sqrt(len(cisd)), s) for s in cisd])
-    circuit = synthesize(spec, method, symbolic=True)
+    circuit = synthesize(spec, method)
     h = number_conserving_hamiltonian(rng, 6)
-    start = rng.uniform(-math.pi, math.pi, len(circuit.parameters))
+    start = rng.uniform(-math.pi, math.pi, sum(1 for g in circuit.gates if g.params))
     return (lambda v: energy_gradient(circuit, v, h)), start
 
 

@@ -22,8 +22,6 @@ from mcprep.circuits import (
     ZZMAX,
     Circuit,
     Gate,
-    UnboundParameterError,
-    bind_parameters,
     cnot_gate,
     compile_circuit,
     count_resources,
@@ -277,17 +275,6 @@ def test_circuit_rejects_out_of_range_wires():
         Circuit(2, (cnot_gate(0, 2),))
     with pytest.raises(ValueError):
         Circuit(0, ())
-
-
-def test_parameters_collected_sorted_and_bindable():
-    c = Circuit(2, (ry_gate(0, "b"), rz_gate(1, "a"), ry_gate(1, 0.3)))
-    assert c.parameters == ("a", "b")
-    bound = bind_parameters(c, {"a": 0.1, "b": 0.2})
-    assert bound.parameters == ()
-    with pytest.raises(ValueError):
-        bind_parameters(c, {"a": 0.1})
-    with pytest.raises(ValueError):
-        bind_parameters(c, {"a": 0.1, "b": 0.2, "zz": 3.0})
 
 
 # --- template decompositions vs analytic unitaries -----------------------------
@@ -544,14 +531,34 @@ def test_acceptance_states_compile_to_exact_counts():
             assert got == counts, (configs, method, gateset_name)
 
 
-def test_compile_rejects_unbound_parameters():
-    c = Circuit(2, (g2_gate(0, 1, "t"),))
-    with pytest.raises(UnboundParameterError):
-        compile_circuit(c, gateset_by_name("cx"))
-    # A symbolic gate raises whether or not its kind is in the target set.
-    for g in (rz_gate(0, "t"), ry_gate(0, "t")):
-        with pytest.raises(UnboundParameterError):
-            decompose_gate(g, gateset_by_name("zz"))
+def test_gate_rejects_angles_that_are_not_numbers():
+    for kind, arity in PARAM_ARITY.items():
+        if not arity:
+            continue
+        targets = tuple(range(TARGET_ARITY[kind]))
+        Gate(kind, targets, (), (np.float64(0.5), *[1] * (arity - 1)))
+        for bad in ("theta", None, 1j):
+            for slot in range(arity):
+                params = [0.5] * arity
+                params[slot] = bad
+                with pytest.raises(ValueError, match="must be a real number"):
+                    Gate(kind, targets, (), tuple(params))
+
+
+def test_compiled_angles_are_python_floats():
+    """Every angle the compiler emits is a float, as a circuit file reads back."""
+    # Imported here: tests.test_acceptance imports this module.
+    from tests.test_acceptance import BENCH_8Q
+
+    specs = [validate_spec(list(zip(coeffs, configs))) for coeffs, configs, _, _ in BENCH_8Q]
+    circuits_in = [synthesize(spec, method) for spec in specs for method in ("gr", "ssp")]
+    circuits_in.append(synthesize(cisd_spec(4, 4), "gr"))
+    assert max(len(g.controls) for c in circuits_in for g in c.gates) >= 3
+    for c in circuits_in:
+        for gateset_name in ("cx", "zz"):
+            compiled = compile_circuit(c, gateset_by_name(gateset_name))
+            kinds = {type(p) for g in compiled.gates for p in g.params}
+            assert kinds == {float}, (gateset_name, kinds)
 
 
 # --- simplification passes ------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mcprep.circuits import G2, SWAP, X, bind_parameters
+from mcprep.circuits import G2, SWAP, X
 from mcprep.configs import OnConfig, StateSpec, validate_spec
 from mcprep.givens import (
     AngleUnderflowError,
@@ -16,16 +16,6 @@ from mcprep.givens import (
 from mcprep.simulator import fidelity_up_to_phase, run_circuit, spec_state
 
 from tests.test_simulator import basis_state
-
-
-def angles_read_off(symbolic, numeric) -> dict[str, float]:
-    """Each named angle of a symbolic circuit, valued as in the same gate of
-    the numeric circuit."""
-    return {
-        s.params[0]: n.params[0]
-        for s, n in zip(symbolic.gates, numeric.gates, strict=True)
-        if s.symbols
-    }
 
 
 def random_equal_weight_spec(rng, n: int, d: int):
@@ -212,14 +202,6 @@ def test_ansatz_form_maps_reference_to_target():
     ref = basis_state(spec.configs[0])
     out = run_circuit(c, ref)
     assert fidelity_up_to_phase(out, spec_state(spec)) >= 1.0 - 1e-12
-
-
-def test_symbolic_circuit_binds_to_numeric_one():
-    spec = validate_spec([(0.5, "1100"), (0.5, "1010"), (0.5, "0110"), (0.5, "0011")])
-    symbolic = synthesize_gr(spec, symbolic=True)
-    assert symbolic.parameters == ("theta_1", "theta_2", "theta_3")
-    numeric = synthesize_gr(spec)
-    assert bind_parameters(symbolic, angles_read_off(symbolic, numeric)) == numeric
 
 
 def test_plan_accepts_strings_and_configs():

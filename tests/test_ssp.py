@@ -11,7 +11,6 @@ from mcprep.circuits import (
     RY,
     X,
     Circuit,
-    bind_parameters,
     cnot_gate,
     compile_circuit,
     count_resources,
@@ -29,7 +28,7 @@ from mcprep.ssp import (
     select_merge_pair,
     synthesize_ssp,
 )
-from tests.test_givens import angles_read_off, random_equal_weight_spec
+from tests.test_givens import random_equal_weight_spec
 
 
 # --- merge angles ----------------------------------------------------------------
@@ -264,14 +263,6 @@ def test_rotation_count_is_support_size_minus_one():
         rotations = [g for g in c.gates if g.kind == RY]
         assert len(rotations) == spec.size - 1
         assert all(g.kind in (RY, CNOT, X) for g in c.gates)
-
-
-def test_symbolic_rotations_bind_to_natural_values():
-    spec = validate_spec([(0.8, "1100"), (0.36, "1010"), (0.48, "0011")])
-    symbolic = synthesize_ssp(spec, symbolic=True)
-    assert symbolic.parameters == ("theta_1", "theta_2")
-    numeric = synthesize_ssp(spec)
-    assert bind_parameters(symbolic, angles_read_off(symbolic, numeric)) == numeric
 
 
 def test_prepared_state_is_exact_and_sector_confined():
