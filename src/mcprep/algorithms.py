@@ -14,6 +14,7 @@ from .givens import synthesize_gr
 from .paulis import PauliSum
 from .simulator import (
     MAX_DENSE_EIGEN_QUBITS,
+    MAX_SPECTRUM_QUBITS,
     energy_gradient,
     evolve,
     expectation,
@@ -406,7 +407,8 @@ def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> 
 
     When H's largest block has at most 2^10 rows, each block the state
     touches is solved once; only their energies carry weight, so the range
-    is theirs. Otherwise the state is evolved and the range is H's own.
+    is theirs. Otherwise the state is evolved and the range is H's own; a
+    register above evolve's budget is rejected before any eigensolve.
     """
     _validate_series_args(tau, n_samples)
     n = np.arange(n_samples)
@@ -423,6 +425,9 @@ def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> 
         high = float(max((values[-1] for values, _ in spectra), default=0.0))
         checked = "of the blocks the state touches"
     else:
+        # evolve's own check, made before the eigensolves that would precede it.
+        if h.n_qubits > MAX_SPECTRUM_QUBITS:
+            raise ValueError(f"{h.n_qubits} qubits exceeds evolution budget {MAX_SPECTRUM_QUBITS}")
         low, high = _spectral_range(h)
         checked = "of the whole spectrum"
     if high > low and tau >= 2 * math.pi / (high - low):

@@ -1,4 +1,4 @@
-"""Gate-level intermediate representation, decomposition and compilation.
+"""Gate-level intermediate representation and compilation.
 
 Gate kinds and wire conventions:
 
@@ -16,8 +16,11 @@ Matrices use the register convention of the rest of the package: the first
 target is the most significant bit of the gate's local basis. The matrices of
 each angle-bearing kind have one definition, ``_GATE_MATRICES``, which builds
 those of many gates in one numpy pass; ``gate_matrix`` is its one-row case.
-Controlled rotations compile through a Gray-code multiplexor with closed-form
-angles, +-angle / 2^k for k controls (Möttönen et al., PRL 93, 130502, 2004).
+Compilation lowers to the CX-native set, simplifies there, and maps to the
+ZZ-native set last (as t|ket> rebases last: Sivarajah et al., Quantum Sci.
+Technol. 6, 014003, 2021). Controlled rotations expand through a Gray-code
+multiplexor with closed-form angles, +-angle / 2^k for k controls (Möttönen
+et al., PRL 93, 130502, 2004).
 
 Every angle is a real number, in radians everywhere in memory; ``Gate``
 rejects any other value, so nothing downstream checks again. Serialization
@@ -276,12 +279,11 @@ def gateset_by_name(name: str) -> GateSet:
     return table[name]
 
 
-# --- decomposition to the CX-native set --------------------------------------
+# --- expansion to the CX-native set and mapping to the ZZ-native set ---------
 #
-# Expansion and simplification work on private records, plain
+# Expansion, simplification and mapping work on private records, plain
 # (kind, targets, controls, params) tuples that skip Gate's validation;
-# compile_circuit and decompose_gate build Gate objects from them once, at the
-# end.
+# compile_circuit builds Gate objects from them once, at the end.
 
 
 def _cnot(control: int, target: int) -> tuple:
@@ -480,9 +482,6 @@ def _g4_template(a: int, b: int, c: int, d: int, theta: float) -> list[tuple]:
     return fold + core + fold[::-1]
 
 
-_CX_KINDS = frozenset({X, RY, RZ, CNOT})
-
-
 def _expand_cx(rec: tuple) -> list[tuple]:
     """Rewrite one record into the CX-native kinds {CNOT, Ry, Rz, X}."""
     kind, targets, ctrls, params = rec
@@ -527,19 +526,21 @@ def _expand_cx(rec: tuple) -> list[tuple]:
 
 
 def _flatten_cx(recs: Iterable[tuple]) -> list[tuple]:
-    out = []
-    for rec in recs:
-        if not rec[2] and rec[0] in _CX_KINDS:
-            out.append(rec)
-        else:
-            out.extend(_expand_cx(rec))
-    return out
+    return [out for rec in recs for out in _expand(rec, CX_NATIVE)]
+
+
+def _expand(rec: tuple, gateset: GateSet) -> list[tuple]:
+    """One record as uncontrolled CX-native records, or unchanged when it is
+    uncontrolled and already native to the target set."""
+    if rec[0] in gateset.kinds and not rec[2]:
+        return [rec]
+    return _expand_cx(rec)
 
 
 def _rewrite_zz(rec: tuple) -> tuple[tuple, ...]:
-    """Map a CX-native record onto {ZZMax, PhasedX, Rz}."""
+    """Map an uncontrolled CX- or ZZ-native record onto {ZZMax, PhasedX, Rz}."""
     kind, targets, _, params = rec
-    if kind == RZ:
+    if kind in ZZ_NATIVE.kinds:
         return (rec,)
     if kind == RY:
         return (_phasedx(targets[0], params[0], math.pi / 2),)
@@ -559,35 +560,12 @@ def _rewrite_zz_fixed(rec: tuple) -> tuple[tuple, ...]:
     raise ValueError(f"not a CX-native gate: {kind}")
 
 
-def _decompose(rec: tuple, gateset: GateSet) -> list[tuple]:
-    if rec[0] in gateset.kinds and not rec[2]:
-        return [rec]
-    cx_recs = _expand_cx(rec)
-    if gateset.name == "cx":
-        return cx_recs
-    out = []
-    for r in cx_recs:
-        out.extend(_rewrite_zz(r))
-    return out
-
-
-def decompose_gate(g: Gate, gateset: GateSet) -> list[Gate]:
-    """Expand one gate into the target set, eliminating all extra controls.
-
-    A test hook, not a program path: compile_circuit runs the peephole pass
-    (and, for zz, consolidation) on the same expansion, so the tests check
-    each template alone, before simplification, through this.
-    """
-    if g.kind in gateset.kinds and not g.controls:
-        return [g]
-    return [Gate(*r) for r in _decompose((g.kind, g.targets, g.controls, g.params), gateset)]
-
-
 # --- peephole simplification and compilation ---------------------------------
 
 
-# Expansion hands the simplifier only uncontrolled records whose kinds are in
-# the target set, so a record's targets are its wires.
+# Expansion hands the simplifier only uncontrolled records, CX-native or native
+# to the target set, so a record's targets are its wires. The pass runs before
+# the mapping to zz, where a CNOT pair still cancels.
 _ROTATIONS = frozenset({RY, RZ, PHASEDX})
 _SELF_INVERSE = frozenset({X, CNOT})
 
@@ -681,9 +659,9 @@ def _consolidate_1q_runs(recs: list[tuple], memo: dict) -> list[tuple]:
     """Replace runs of adjacent one-qubit gates on a wire by at most
     PhasedX + Rz whenever that shortens the circuit.
 
-    Run once, after the peephole pass, it leaves a fixed point of every rule:
-    a replacement's angles are not null, and its neighbours on its wire are
-    ZZMax gates, which no rule combines.
+    Run once, after the mapping of the simplified records to zz, it leaves a
+    fixed point of every rule: a replacement's angles are not null, and its
+    neighbours on its wire are ZZMax gates, which no rule combines.
     """
     runs: dict[int, list[int]] = {}
     finished: list[list[int]] = []
@@ -731,20 +709,24 @@ def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
 
 
 def compile_circuit(c: Circuit, gateset: GateSet) -> Circuit:
-    """Expand every gate into the target set, then simplify to a fixed point.
+    """Lower a circuit to the target set in three stages, each run once:
 
-    Simplification is one peephole pass (zero-angle elision, adjacent
-    self-inverse cancellation and same-axis rotation merging, wire-adjacency
-    aware) and, for the ZZ-native set, one consolidation of one-qubit runs.
-    Each stage leaves nothing for a second one to do. Preserves the unitary
-    up to a global phase.
+    1. Expand every gate into uncontrolled CX-native records; one that is
+       uncontrolled and native to the target set passes through unchanged.
+    2. Simplify with one peephole pass (zero-angle elision, adjacent
+       self-inverse cancellation and same-axis rotation merging, wire-adjacency
+       aware).
+    3. For the ZZ-native set only, map each record with _rewrite_zz, then
+       consolidate the one-qubit runs.
+
+    Each stage leaves nothing for a second one to do. Preserves the unitary up
+    to a global phase.
     """
-    recs: list[tuple] = []
-    for g in c.gates:
-        recs.extend(_decompose((g.kind, g.targets, g.controls, g.params), gateset))
-    recs = _peephole_pass(recs)
+    recs = _peephole_pass([
+        rec for g in c.gates for rec in _expand((g.kind, g.targets, g.controls, g.params), gateset)
+    ])
     if gateset.name == "zz":
-        recs = _consolidate_1q_runs(recs, {})
+        recs = _consolidate_1q_runs([m for rec in recs for m in _rewrite_zz(rec)], {})
     for rec in recs:
         if rec[0] not in gateset.kinds or rec[2]:
             raise RuntimeError(f"gate {Gate(*rec)} escaped compilation to {gateset.name}")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mcprep import algorithms
 from mcprep.algorithms import (
     CumulantSet,
     QcelsSeries,
@@ -615,6 +616,21 @@ def test_qcels_solves_each_touched_block_once(monkeypatch):
     assert [len(s) for s in h.sectors] == [1 << 10]
     qcels_series(random_state(rng, 10), h, 0.9 * math.pi / sum(abs(c) for c, _ in h.terms()), 8)
     assert calls == ["eigh"]
+
+
+def test_qcels_rejects_a_register_above_the_evolution_budget_before_any_eigensolve(monkeypatch):
+    # Above 14 qubits evolve refuses the register, so the two eigsh calls of
+    # the spectral range, which take minutes there, must not run first.
+    def no_range(h):
+        raise AssertionError("spectral range computed for a register evolve rejects")
+
+    monkeypatch.setattr(algorithms, "_spectral_range", no_range)
+    n = 15
+    h = PauliSum.from_terms([(1.0, "Z" + "I" * (n - 1)), (0.5, "XX" + "I" * (n - 2))], n)
+    assert not algorithms._diagonalizable(h)
+    state = basis_state(OnConfig.from_string("1" * 2 + "0" * (n - 2)))
+    with pytest.raises(ValueError, match="^15 qubits exceeds evolution budget 14$"):
+        qcels_series(state, h, 0.1, 8)
 
 
 def test_qcels_rejects_bad_sampling():

@@ -11,7 +11,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcprep"
 
-REASONS = {"oracle", "fixture", "test hook", "leaves", "tracer"}
+REASONS = {"oracle", "fixture", "leaves", "tracer"}
 
 # name -> why it stays public; "leaves" means perfbench/tracing.LEAVES pins it,
 # "tracer" that perfbench/tracing.py wraps the method or reads the property.
@@ -19,7 +19,6 @@ ALLOWED = {
     "simulator.circuit_unitary": "oracle",
     "simulator.subspace_diag": "oracle",
     "configs.generate_cisd_configs": "fixture",
-    "circuits.decompose_gate": "test hook",
     "circuits.gate": "leaves",
     "circuits.rz_gate": "leaves",
     "circuits.phasedx_gate": "leaves",

@@ -25,7 +25,6 @@ from mcprep.circuits import (
     cnot_gate,
     compile_circuit,
     count_resources,
-    decompose_gate,
     g2_gate,
     g4_gate,
     gate_matrix,
@@ -280,6 +279,15 @@ def test_circuit_rejects_out_of_range_wires():
 # --- template decompositions vs analytic unitaries -----------------------------
 
 
+def expansion(g: Gate, gs) -> list[Gate]:
+    """One gate in the target set before any simplification: the compiler's
+    expansion and, for zz, its mapping of every expanded record."""
+    recs = circuits._expand((g.kind, g.targets, g.controls, g.params), gs)
+    if gs.name == "zz":
+        recs = [mapped for rec in recs for mapped in circuits._rewrite_zz(rec)]
+    return [Gate(*rec) for rec in recs]
+
+
 @pytest.mark.parametrize("gateset_name", ["cx", "zz"])
 def test_g2_template_matches_analytic_unitary(gateset_name):
     rng = np.random.default_rng(23)
@@ -287,7 +295,7 @@ def test_g2_template_matches_analytic_unitary(gateset_name):
     for _ in range(6):
         theta = float(rng.uniform(-math.pi, math.pi))
         g = g2_gate(1, 0, theta)
-        body = Circuit(2, tuple(decompose_gate(g, gs)))
+        body = Circuit(2, tuple(expansion(g, gs)))
         assert max_phase_deviation(circuit_unitary(body), embed_gate(g, 2)) < 1e-10
 
 
@@ -297,7 +305,7 @@ def test_g4_template_matches_analytic_unitary(gateset_name):
     gs = gateset_by_name(gateset_name)
     theta = float(rng.uniform(-math.pi, math.pi))
     g = g4_gate(0, 2, 3, 1, theta)
-    body = Circuit(4, tuple(decompose_gate(g, gs)))
+    body = Circuit(4, tuple(expansion(g, gs)))
     assert max_phase_deviation(circuit_unitary(body), embed_gate(g, 4)) < 1e-10
 
 
@@ -366,7 +374,7 @@ def test_controlled_templates_match_analytic_unitaries(gateset_name):
     ]
     for g in cases:
         n = max(g.wires) + 1
-        body = Circuit(n, tuple(decompose_gate(g, gs)))
+        body = Circuit(n, tuple(expansion(g, gs)))
         # The simplifier relies on expansion emitting only these.
         assert all(not h.controls and h.kind in gs.kinds for h in body.gates), g.kind
         assert max_phase_deviation(circuit_unitary(body), embed_gate(g, n)) < 1e-10, g.kind
@@ -428,23 +436,31 @@ def corpus_specs(cisd_sizes=CISD_SIZES) -> list:
     return specs + [cisd_spec(*size) for size in cisd_sizes]
 
 
-def full_fixed_point(c: Circuit, gs) -> tuple[Circuit, int]:
-    """The simplification stages repeated until a round changes nothing, angle
-    bits included, with every output record going through the validating
-    constructors. Returns the circuit and the number of rounds that changed
-    the records."""
-    runs = {}
-    recs = []
-    for g in c.gates:
-        recs.extend(circuits._decompose((g.kind, g.targets, g.controls, g.params), gs))
+def repeated(stage, recs: list[tuple]) -> tuple[list[tuple], int]:
+    """The stage repeated until a round changes nothing, angle bits included,
+    and the number of rounds that changed the records."""
     for rounds in range(100):
-        new = circuits._peephole_pass(recs)
-        if gs.name == "zz":
-            new = circuits._consolidate_1q_runs(new, runs)
+        new = stage(recs)
         if repr(new) == repr(recs):
-            return Circuit(c.n_qubits, tuple(Gate(*rec) for rec in recs)), rounds
+            return recs, rounds
         recs = new
     raise AssertionError("no fixed point")
+
+
+def full_fixed_point(c: Circuit, gs) -> tuple[Circuit, int]:
+    """Each simplification stage repeated to its fixed point: the peephole
+    pass on the expansion and, for zz, the consolidation on the mapped
+    records. Every output record goes through the validating constructors.
+    Returns the circuit and the most rounds that changed the records in
+    either stage."""
+    recs = [rec for g in c.gates for rec in circuits._expand((g.kind, g.targets, g.controls, g.params), gs)]
+    recs, rounds = repeated(circuits._peephole_pass, recs)
+    if gs.name == "zz":
+        runs = {}
+        mapped = [m for rec in recs for m in circuits._rewrite_zz(rec)]
+        recs, consolidations = repeated(lambda r: circuits._consolidate_1q_runs(r, runs), mapped)
+        rounds = max(rounds, consolidations)
+    return Circuit(c.n_qubits, tuple(Gate(*rec) for rec in recs)), rounds
 
 
 def inverse_gate(g: Gate) -> Gate:
@@ -502,6 +518,23 @@ def test_compile_stops_where_the_full_loop_stops(gateset_name):
         fixed, rounds = full_fixed_point(c, gs)
         assert rounds <= 1, c
         assert repr(compile_circuit(c, gs)) == repr(fixed), c
+
+
+def test_zz_compiles_the_simplified_cx_circuit_gate_by_gate():
+    # Both sets share expansion and the peephole pass; zz then maps each
+    # record and consolidates. So a circuit without ZZMax or PhasedX gates
+    # compiles to zz as its cx circuit does, with one ZZMax per CNOT of it.
+    cx, zz = gateset_by_name("cx"), gateset_by_name("zz")
+    rng = np.random.default_rng(67)
+    cases = [synthesize(spec, method) for spec in corpus_specs() for method in ("gr", "ssp")]
+    for _ in range(1000):
+        c = cascade_circuit(rng)
+        cases.append(Circuit(c.n_qubits, tuple(g for g in c.gates if g.kind not in (ZZMAX, PHASEDX))))
+    assert not {g.kind for c in cases for g in c.gates} & {ZZMAX, PHASEDX}
+    for c in cases:
+        on_cx, on_zz = compile_circuit(c, cx), compile_circuit(c, zz)
+        assert repr(compile_circuit(on_cx, zz)) == repr(on_zz), c
+        assert count_resources(on_zz).counts.get(ZZMAX, 0) == count_resources(on_cx).counts.get(CNOT, 0), c
 
 
 # (n_gates, two_qubit_total, depth) of each 8-qubit acceptance state, per

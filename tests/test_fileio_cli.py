@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mcprep import cli, fileio
+from mcprep import algorithms, cli, fileio
 from mcprep.algorithms import MAX_QCELS_SAMPLES
 from mcprep.algorithms import synthesize
 from mcprep.circuits import CNOT, G2, PHASEDX, RY, Circuit, Gate, compile_circuit, gateset_by_name
@@ -578,6 +578,23 @@ def test_cli_qcels_reports_unconverged_spectral_range(tmp_path, capsys, monkeypa
     assert code == 1
     assert report is None
     assert err.startswith("error: spectral range of the 11-qubit operator did not converge")
+
+
+def test_cli_qcels_rejects_a_register_above_the_evolution_budget_at_once(tmp_path, capsys, monkeypatch):
+    # A 15-qubit operator used to spend its eigsh calls before evolve refused
+    # the register; the same error now comes first.
+    def no_range(h):
+        raise AssertionError("spectral range computed for a register evolve rejects")
+
+    monkeypatch.setattr(algorithms, "_spectral_range", no_range)
+    spec_path = write(tmp_path, "state.txt", "1 110000000000000\n")
+    ham_path = write(tmp_path, "h.txt", "1.0 ZIIIIIIIIIIIIII\n0.5 XXIIIIIIIIIIIII\n")
+    code, report, err = run_cli(
+        capsys, ["qcels", "--spec", spec_path, "--hamiltonian", ham_path, "--tau", "0.1"]
+    )
+    assert code == 1
+    assert report is None
+    assert err == "error: 15 qubits exceeds evolution budget 14\n"
 
 
 def test_cli_qcels_caps_samples(tmp_path, capsys):
