@@ -6,8 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
+from . import _lazy_numpy
 from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
 from .configs import OnConfig, StateSpec, apply_excitation, hamming, validate_spec
 from .givens import synthesize_gr
@@ -21,6 +20,8 @@ from .simulator import (
     run_circuit,
 )
 from .ssp import synthesize_ssp
+
+np = _lazy_numpy()
 
 
 class DegenerateCumulants(ArithmeticError):

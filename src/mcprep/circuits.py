@@ -37,7 +37,9 @@ import numbers
 import struct
 from typing import Iterable
 
-import numpy as np
+from . import _lazy_numpy
+
+np = _lazy_numpy()
 
 X = "X"
 RY = "Ry"
@@ -190,18 +192,21 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-_ZZ_PHASE = np.exp(-1j * np.pi / 4)
-# Matrices of the parameterless kinds, built once and shared read-only.
-_FIXED_MATRICES = {
-    X: _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
-    CNOT: _read_only(np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )),
-    ZZMAX: _read_only(np.diag([_ZZ_PHASE, _ZZ_PHASE.conjugate(), _ZZ_PHASE.conjugate(), _ZZ_PHASE])),
-    SWAP: _read_only(np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )),
-}
+@functools.cache
+def _fixed_matrices() -> dict[str, np.ndarray]:
+    """Matrices of the parameterless kinds, built at first use and shared
+    read-only."""
+    zz_phase = np.exp(-1j * np.pi / 4)
+    return {
+        X: _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+        CNOT: _read_only(np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )),
+        ZZMAX: _read_only(np.diag([zz_phase, zz_phase.conjugate(), zz_phase.conjugate(), zz_phase])),
+        SWAP: _read_only(np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )),
+    }
 
 
 def _rotation_stack(angles: np.ndarray, off_diagonal: complex) -> np.ndarray:
@@ -251,7 +256,7 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     parameterless kinds are shared and read-only; the others are row 0 of a
     one-row _GATE_MATRICES stack.
     """
-    fixed = _FIXED_MATRICES.get(kind)
+    fixed = _fixed_matrices().get(kind)
     if fixed is not None:
         return fixed
     if kind not in _GATE_MATRICES:
@@ -436,7 +441,7 @@ def _mcx_template(k: int) -> tuple[tuple, ...]:
     Its angles come from the square roots of X and depend on k alone, so each
     control count is solved once per process.
     """
-    return tuple(_mc_unitary(tuple(range(k)), k, _FIXED_MATRICES[X]))
+    return tuple(_mc_unitary(tuple(range(k)), k, _fixed_matrices()[X]))
 
 
 def _mcx_ones(controls: tuple[int, ...], t: int) -> list[tuple]:

@@ -101,7 +101,7 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.tolerance < 1:
         raise ValueError(f"--tolerance must be finite, at least 0 and below 1, got {args.tolerance}")
     spec = fileio.parse_state_spec(_read(args.spec))
-    circuit = fileio.circuit_from_json(_read(args.circuit))
+    circuit = _parse_matching_circuit(args.circuit, spec.n_q, "state")
     fidelity = fidelity_up_to_phase(run_circuit(circuit), spec_state(spec))
     ok = fidelity >= 1 - args.tolerance
     _emit(
@@ -176,6 +176,15 @@ def parse_matching_hamiltonian(path: str, n_qubits: int) -> PauliSum:
     return h
 
 
+def _parse_matching_circuit(path: str, n_qubits: int, holder: str) -> Circuit:
+    circuit = fileio.circuit_from_json(_read(path))
+    if circuit.n_qubits != n_qubits:
+        raise fileio.ParseError(
+            f"circuit acts on {circuit.n_qubits} qubits but the {holder} has {n_qubits}"
+        )
+    return circuit
+
+
 def _cmd_moments(args) -> int:
     spec = fileio.parse_state_spec(_read(args.spec))
     h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
@@ -231,7 +240,7 @@ def _cmd_sceom(args) -> int:
         )
     excitations = cisd_excitations(hf)
     if args.ansatz:
-        ansatz = fileio.circuit_from_json(_read(args.ansatz))
+        ansatz = _parse_matching_circuit(args.ansatz, h.n_qubits, "operator")
     else:
         ansatz = Circuit(h.n_qubits, ())
     m = algorithms.sceom_m_matrix(h, hf, excitations, ansatz, prep_method=args.prep)

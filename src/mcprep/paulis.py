@@ -18,7 +18,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-import numpy as np
+from . import _lazy_numpy
+
+np = _lazy_numpy()
 
 # Eigensolves refuse a block of more rows than this: a complex block of 2**12
 # rows holds 256 MiB. Conserving sums fit up to 14 qubits, C(14, 7) = 3432.
@@ -26,12 +28,15 @@ MAX_EIGEN_BLOCK_ROWS = 1 << 12
 
 _LETTERS = "IXZY"  # index = (x_bit) + 2 * (z_bit)
 
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+@functools.cache
+def _letter_matrices() -> dict[str, np.ndarray]:
+    return {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,8 +82,9 @@ class PauliWord:
     def matrix(self) -> np.ndarray:
         """Dense matrix via explicit Kronecker products (oracle-grade path)."""
         out = np.eye(1, dtype=complex)
+        letters = _letter_matrices()
         for ch in str(self):
-            out = np.kron(out, _MATRICES[ch])
+            out = np.kron(out, letters[ch])
         return out
 
 

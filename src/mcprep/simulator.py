@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
+from . import _lazy_numpy
 from .circuits import CNOT, G2, G4, RY, RZ, X, ZZMAX, Circuit, _GATE_MATRICES, gate_matrix
 from .configs import StateSpec
 from .paulis import PauliSum
+
+np = _lazy_numpy()
 
 MAX_SIM_QUBITS = 16
 MAX_UNITARY_QUBITS = 12

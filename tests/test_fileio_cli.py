@@ -438,6 +438,19 @@ def test_cli_verify_rejects_unknown_fields_and_stray_angles(tmp_path, capsys, en
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+def six_qubit_circuit(tmp_path):
+    doc = {"schema": fileio.CIRCUIT_SCHEMA, "n_qubits": 6, "gates": [{"kind": "X", "targets": [5]}]}
+    return write(tmp_path, "six.json", json.dumps(doc))
+
+
+def test_cli_verify_rejects_a_circuit_on_another_register(tmp_path, capsys):
+    spec_path = write(tmp_path, "state.txt", SPEC_TEXT)
+    code, report, err = run_cli(
+        capsys, ["verify", "--spec", spec_path, "--circuit", six_qubit_circuit(tmp_path)]
+    )
+    assert (code, report, err) == (1, None, "error: circuit acts on 6 qubits but the state has 4\n")
+
+
 def test_cli_resources_reports_both_methods(tmp_path, capsys):
     spec_path = write(tmp_path, "state.txt", SPEC_TEXT)
     code, report, _ = run_cli(capsys, ["resources", "--spec", spec_path, "--method", "both"])
@@ -727,6 +740,18 @@ def test_cli_sceom_rejects_width_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "3 orbitals give 6 qubits" in err
+
+
+def test_cli_sceom_rejects_an_ansatz_on_another_register(tmp_path, capsys):
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    code, report, err = run_cli(
+        capsys,
+        ["sceom", "--hamiltonian", ham_path, "--orbitals", "2", "--electrons", "2",
+         "--ansatz", six_qubit_circuit(tmp_path)],
+    )
+    assert (code, report, err) == (
+        1, None, "error: circuit acts on 6 qubits but the operator has 4\n"
+    )
 
 
 @pytest.mark.parametrize(
