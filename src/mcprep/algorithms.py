@@ -282,7 +282,6 @@ def _bfgs(fun, x: np.ndarray, maxiter: int, callback=None) -> _Minimum:
 class VqeResult:
     energy: float
     parameters: dict[str, float]
-    state: np.ndarray
     restarts_used: int
     stop_reason: str
 
@@ -314,11 +313,9 @@ def vqe_minimize(
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     equal = 1 / math.sqrt(spec.size)
     circuit = synthesize(StateSpec(tuple((equal, x) for x in spec.configs), spec.n_q), method)
-    rotations = [k for k, g in enumerate(circuit.gates) if g.params]
-    m = len(rotations)
+    m = sum(1 for g in circuit.gates if g.params)
     if not m:
-        state = run_circuit(circuit)
-        return VqeResult(expectation(state, h), {}, state, 0, "gradient")
+        return VqeResult(expectation(run_circuit(circuit), h), {}, 0, "gradient")
     names = [f"theta_{k + 1 if method == 'gr' else m - k}" for k in range(m)]
     order = sorted(range(m), key=names.__getitem__)  # variable j is rotation order[j]
 
@@ -340,12 +337,8 @@ def vqe_minimize(
         result = _bfgs(energy, x0, maxiter)
         if best is None or result.f < best.f:
             best = result
-    parameters, gates = {}, list(circuit.gates)
-    for k, v in zip(order, best.x):
-        parameters[names[k]] = float(v)
-        gates[rotations[k]] = dataclasses.replace(gates[rotations[k]], params=(float(v),))
-    state = run_circuit(Circuit(circuit.n_qubits, tuple(gates)))
-    return VqeResult(best.f, parameters, state, len(starts), best.stop_reason)
+    parameters = {names[k]: float(v) for k, v in zip(order, best.x)}
+    return VqeResult(best.f, parameters, len(starts), best.stop_reason)
 
 
 # --- time-series phase estimation --------------------------------------------

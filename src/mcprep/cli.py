@@ -1,18 +1,20 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON report to stdout and returns a
-nonzero exit code when parsing, synthesis, or verification fails.
+Every subcommand returns its report body; `main` prints it as a single JSON
+report to stdout. The exit code is nonzero when parsing or synthesis fails
+(an `error:` line on stderr) or when the report says `"verified": false`.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
 
 from . import algorithms, fileio
 from .circuits import Circuit, compile_circuit, count_resources, gateset_by_name
-from .configs import cisd_excitations, hartree_fock_config
+from .configs import StateSpec, cisd_excitations, hartree_fock_config
 from .paulis import PauliSum
 from .simulator import (
     MAX_DENSE_EIGEN_QUBITS, exact_spectrum, fidelity_up_to_phase, moments, run_circuit, spec_state,
@@ -47,6 +49,28 @@ def _counts_dict(c: Circuit) -> dict:
     }
 
 
+def _check_register(what: str, n_qubits: int, holder: str, expected: int) -> None:
+    if n_qubits != expected:
+        raise fileio.ParseError(
+            f"{what} acts on {n_qubits} qubits but the {holder} has {expected}"
+        )
+
+
+def _parse_matching_circuit(path: str, n_qubits: int, holder: str) -> Circuit:
+    circuit = fileio.circuit_from_json(_read(path))
+    _check_register("circuit", circuit.n_qubits, holder, n_qubits)
+    return circuit
+
+
+def _load_state_and_operator(args) -> tuple[StateSpec, PauliSum, dict]:
+    """The --spec and --hamiltonian files, which must share a register, and
+    the report head that names them and --method."""
+    spec = fileio.parse_state_spec(_read(args.spec))
+    h = fileio.parse_hamiltonian(_read(args.hamiltonian))
+    _check_register("operator", h.n_qubits, "state", spec.n_q)
+    return spec, h, {"spec": args.spec, "hamiltonian": args.hamiltonian, "method": args.method}
+
+
 def _synth_one(spec_path: str, method: str, gateset_name: str, out: str | None) -> dict:
     """Report of one spec file's circuit; the circuit is written to `out` only
     if it passed self-verification."""
@@ -72,52 +96,43 @@ def _synth_one(spec_path: str, method: str, gateset_name: str, out: str | None) 
     return body
 
 
-def _cmd_synth(args) -> int:
-    if args.spec_dir:
-        paths = sorted(p for p in pathlib.Path(args.spec_dir).iterdir() if p.is_file())
-        if not paths:
-            raise ValueError(f"no spec files in {args.spec_dir}")
-        out_dir = pathlib.Path(args.out) if args.out else None
-        if out_dir:
-            by_stem: dict[str, pathlib.Path] = {}
-            for path in paths:
-                if (other := by_stem.setdefault(path.stem, path)) != path:
-                    raise ValueError(f"spec files {other} and {path} would both write "
-                                     f"{path.stem}.circuit.json")
-            out_dir.mkdir(parents=True, exist_ok=True)
-        results = []
+def _cmd_synth(args) -> dict:
+    if not args.spec_dir:
+        return _synth_one(args.spec, args.method, args.gateset, args.out)
+    paths = sorted(p for p in pathlib.Path(args.spec_dir).iterdir() if p.is_file())
+    if not paths:
+        raise ValueError(f"no spec files in {args.spec_dir}")
+    out_dir = pathlib.Path(args.out) if args.out else None
+    if out_dir:
+        by_stem: dict[str, pathlib.Path] = {}
         for path in paths:
-            out = str(out_dir / (path.stem + ".circuit.json")) if out_dir else None
-            results.append(_synth_one(str(path), args.method, args.gateset, out))
-        all_ok = all(body["verified"] for body in results)
-        _emit("synth", {"verified": all_ok, "results": results})
-        return 0 if all_ok else 1
-    body = _synth_one(args.spec, args.method, args.gateset, args.out)
-    _emit("synth", body)
-    return 0 if body["verified"] else 1
+            if (other := by_stem.setdefault(path.stem, path)) != path:
+                raise ValueError(f"spec files {other} and {path} would both write "
+                                 f"{path.stem}.circuit.json")
+        out_dir.mkdir(parents=True, exist_ok=True)
+    results = []
+    for path in paths:
+        out = str(out_dir / (path.stem + ".circuit.json")) if out_dir else None
+        results.append(_synth_one(str(path), args.method, args.gateset, out))
+    return {"verified": all(body["verified"] for body in results), "results": results}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     if not 0 <= args.tolerance < 1:
         raise ValueError(f"--tolerance must be finite, at least 0 and below 1, got {args.tolerance}")
     spec = fileio.parse_state_spec(_read(args.spec))
     circuit = _parse_matching_circuit(args.circuit, spec.n_q, "state")
     fidelity = fidelity_up_to_phase(run_circuit(circuit), spec_state(spec))
-    ok = fidelity >= 1 - args.tolerance
-    _emit(
-        "verify",
-        {
-            "spec": args.spec,
-            "circuit": args.circuit,
-            "fidelity": fidelity,
-            "tolerance": args.tolerance,
-            "verified": ok,
-        },
-    )
-    return 0 if ok else 1
+    return {
+        "spec": args.spec,
+        "circuit": args.circuit,
+        "fidelity": fidelity,
+        "tolerance": args.tolerance,
+        "verified": fidelity >= 1 - args.tolerance,
+    }
 
 
-def _cmd_resources(args) -> int:
+def _cmd_resources(args) -> dict:
     spec = fileio.parse_state_spec(_read(args.spec))
     methods = ("gr", "ssp") if args.method == "both" else (args.method,)
     gateset = gateset_by_name(args.gateset)
@@ -125,17 +140,13 @@ def _cmd_resources(args) -> int:
     for method in methods:
         compiled = compile_circuit(algorithms.synthesize(spec, method), gateset)
         per_method[method] = _counts_dict(compiled)
-    _emit(
-        "resources",
-        {
-            "spec": args.spec,
-            "gateset": args.gateset,
-            "n_qubits": spec.n_q,
-            "n_configs": spec.size,
-            "methods": per_method,
-        },
-    )
-    return 0
+    return {
+        "spec": args.spec,
+        "gateset": args.gateset,
+        "n_qubits": spec.n_q,
+        "n_configs": spec.size,
+        "methods": per_method,
+    }
 
 
 def _add_exact_ground(body: dict, h: PauliSum, energy: float) -> None:
@@ -147,91 +158,43 @@ def _add_exact_ground(body: dict, h: PauliSum, energy: float) -> None:
         body["error_vs_exact"] = energy - exact
 
 
-def _cmd_vqe(args) -> int:
-    spec = fileio.parse_state_spec(_read(args.spec))
-    h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
+def _cmd_vqe(args) -> dict:
+    spec, h, body = _load_state_and_operator(args)
     result = algorithms.vqe_minimize(
         h, spec, args.method, restarts=args.restarts, seed=args.seed, maxiter=args.maxiter
     )
-    body = {
-        "spec": args.spec,
-        "hamiltonian": args.hamiltonian,
-        "method": args.method,
-        "energy": result.energy,
-        "parameters": result.parameters,
-        "restarts_used": result.restarts_used,
-        "stop_reason": result.stop_reason,
-    }
+    body.update(dataclasses.asdict(result))
     _add_exact_ground(body, h, result.energy)
-    _emit("vqe", body)
-    return 0
+    return body
 
 
-def parse_matching_hamiltonian(path: str, n_qubits: int) -> PauliSum:
-    h = fileio.parse_hamiltonian(_read(path))
-    if h.n_qubits != n_qubits:
-        raise fileio.ParseError(
-            f"operator acts on {h.n_qubits} qubits but the state has {n_qubits}"
-        )
-    return h
-
-
-def _parse_matching_circuit(path: str, n_qubits: int, holder: str) -> Circuit:
-    circuit = fileio.circuit_from_json(_read(path))
-    if circuit.n_qubits != n_qubits:
-        raise fileio.ParseError(
-            f"circuit acts on {circuit.n_qubits} qubits but the {holder} has {n_qubits}"
-        )
-    return circuit
-
-
-def _cmd_moments(args) -> int:
-    spec = fileio.parse_state_spec(_read(args.spec))
-    h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
+def _cmd_moments(args) -> dict:
+    spec, h, body = _load_state_and_operator(args)
     state = run_circuit(algorithms.synthesize(spec, args.method))
     mu = moments(state, h, 4)
     c = algorithms.cumulants(mu)
-    body = {
-        "spec": args.spec,
-        "hamiltonian": args.hamiltonian,
-        "method": args.method,
-        "moments": mu,
-        "cumulants": {"c1": c.c1, "c2": c.c2, "c3": c.c3, "c4": c.c4},
-    }
-    try:
-        body["qcm4"] = algorithms.qcm4(c)
-    except ArithmeticError as err:
-        body["qcm4"] = None
-        body["qcm4_skipped"] = str(err)
-    try:
-        body["cmx2"] = algorithms.cmx2(c)
-    except ArithmeticError as err:
-        body["cmx2"] = None
-        body["cmx2_skipped"] = str(err)
-    _emit("moments", body)
-    return 0
+    body.update(moments=mu, cumulants=dataclasses.asdict(c))
+    for name, estimate in (("qcm4", algorithms.qcm4), ("cmx2", algorithms.cmx2)):
+        try:
+            body[name] = estimate(c)
+        except ArithmeticError as err:
+            body[name] = None
+            body[f"{name}_skipped"] = str(err)
+    return body
 
 
-def _cmd_qcels(args) -> int:
-    spec = fileio.parse_state_spec(_read(args.spec))
-    h = parse_matching_hamiltonian(args.hamiltonian, spec.n_q)
+def _cmd_qcels(args) -> dict:
+    spec, h, body = _load_state_and_operator(args)
+    algorithms._validate_series_args(args.tau, args.samples)
     state = run_circuit(algorithms.synthesize(spec, args.method))
     series = algorithms.qcels_series(state, h, args.tau, args.samples)
     estimate = algorithms.qcels_estimate(series)
-    body = {
-        "spec": args.spec,
-        "hamiltonian": args.hamiltonian,
-        "method": args.method,
-        "tau": args.tau,
-        "samples": args.samples,
-        "estimate": estimate,
-    }
+    body.update(tau=args.tau, samples=args.samples, estimate=estimate)
     _add_exact_ground(body, h, estimate)
-    _emit("qcels", body)
-    return 0
+    return body
 
 
-def _cmd_sceom(args) -> int:
+def _cmd_sceom(args) -> dict:
     h = fileio.parse_hamiltonian(_read(args.hamiltonian))
     hf = hartree_fock_config(args.orbitals, args.electrons)
     if hf.n_qubits != h.n_qubits:
@@ -256,34 +219,23 @@ def _cmd_sceom(args) -> int:
     }
     if args.element_resources:
         body["elements"] = [
-            {
-                "i": e.i,
-                "j": e.j,
-                "pair_distance": e.pair_distance,
-                "gr_two_qubit": e.gr_two_qubit,
-                "ssp_two_qubit": e.ssp_two_qubit,
-            }
+            dataclasses.asdict(e)
             for e in algorithms.sceom_element_resources(hf, excitations, args.gateset)
         ]
-    _emit("sceom", body)
-    return 0
+    return body
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> dict:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     h = fileio.parse_hamiltonian(_read(args.hamiltonian))
     values = exact_spectrum(h)
     count = min(args.count, values.size)
-    _emit(
-        "spectrum",
-        {
-            "hamiltonian": args.hamiltonian,
-            "n_qubits": h.n_qubits,
-            "lowest": [float(v) for v in values[:count]],
-        },
-    )
-    return 0
+    return {
+        "hamiltonian": args.hamiltonian,
+        "n_qubits": h.n_qubits,
+        "lowest": [float(v) for v in values[:count]],
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        body = args.run(args)
+        _emit(args.command, body)
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -369,6 +322,7 @@ def main(argv=None) -> int:
         detail = f": {err}" if str(err) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
+    return 1 if body.get("verified") is False else 0
 
 
 if __name__ == "__main__":

@@ -148,10 +148,6 @@ class PauliSum:
             raise ValueError("empty sum needs an explicit qubit count")
         return cls(acc, width)
 
-    def terms(self) -> list[tuple[float, PauliWord]]:
-        """Terms sorted by word text for deterministic iteration."""
-        return sorted(((c, w) for w, c in self._terms.items()), key=lambda t: str(t[1]))
-
     @property
     def n_terms(self) -> int:
         return len(self._terms)

@@ -1,9 +1,10 @@
 """Public API reached only by tests is deleted, not kept.
 
-Every public module-level function or class of the package, and every
-public method or property of a public class, must be named somewhere in
-``src/`` besides its own definition, or be listed below with the reason it
-stays.
+Every public module-level function or class of the package must be named
+somewhere in ``src/`` besides its own definition, and every public method or
+property of a public class must be read as an attribute there (a parameter
+or local variable of the same name does not count), or be listed below with
+the reason it stays.
 """
 import ast
 import pathlib
@@ -54,22 +55,20 @@ def _definitions(trees) -> dict[str, ast.AST]:
     return found
 
 
-def _mentions(trees) -> dict[str, int]:
-    """How often each identifier is named in the package, as a name, an
-    attribute or an imported alias."""
-    counts: dict[str, int] = {}
+def _mentions(trees) -> tuple[set[str], set[str]]:
+    """The identifiers the package names as a name, an attribute or an
+    imported alias, and those it reads as an attribute."""
+    named, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            counts[name] = counts.get(name, 0) + 1
-    return counts
+                named.add(node.name)
+    return named, attributes
 
 
 def _leaves() -> set[str]:
@@ -98,9 +97,14 @@ def _traced_pauli_members() -> set[str]:
 
 
 def _unreferenced() -> set[str]:
+    """Module-level names never named, and class members never read as an
+    attribute (keys module.Class.member have three parts)."""
     trees = _trees()
-    mentions = _mentions(trees)
-    return {key for key in _definitions(trees) if mentions.get(key.split(".")[-1], 0) == 0}
+    named, attributes = _mentions(trees)
+    return {
+        key for key in _definitions(trees)
+        if key.split(".")[-1] not in (attributes if key.count(".") == 2 else named)
+    }
 
 
 def test_every_public_name_is_used_in_src_or_allowed():

@@ -11,6 +11,7 @@ from mcprep.algorithms import MAX_QCELS_SAMPLES
 from mcprep.algorithms import synthesize
 from mcprep.circuits import CNOT, G2, PHASEDX, RY, Circuit, Gate, compile_circuit, gateset_by_name
 from mcprep.configs import SpecValidationError, cisd_excitations, hartree_fock_config
+from mcprep.paulis import PauliWord
 from mcprep.simulator import exact_spectrum, expectation, spec_state
 
 from tests.test_circuits import CISD_SIZES, cisd_spec, corpus_specs, random_circuit
@@ -41,6 +42,10 @@ def run_cli(capsys, argv):
     return code, report, captured.err
 
 
+def word_matrix(letters: str) -> np.ndarray:
+    return PauliWord.from_string(letters).matrix()
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -50,15 +55,14 @@ def write(tmp_path, name, text):
 def test_parse_hamiltonian_merges_repeats_and_comments():
     text = "# header\n0.5 XZ  # inline note\n\n0.25 XZ\n-1 IZ\n"
     h = fileio.parse_hamiltonian(text)
-    coeffs = {str(w): c for c, w in h.terms()}
-    assert coeffs == {"XZ": 0.75, "IZ": -1.0}
+    assert h.n_terms == 2
+    assert np.array_equal(h.matrix(), 0.75 * word_matrix("XZ") - word_matrix("IZ"))
 
 
 def test_parse_hamiltonian_unicode_minus():
     h = fileio.parse_hamiltonian("−0.5 ZZ\n1e−2 XX\n")
-    coeffs = {str(w): c for c, w in h.terms()}
-    assert coeffs["ZZ"] == -0.5
-    assert coeffs["XX"] == 0.01
+    assert h.n_terms == 2
+    assert np.array_equal(h.matrix(), -0.5 * word_matrix("ZZ") + 0.01 * word_matrix("XX"))
 
 
 def test_parse_hamiltonian_errors_carry_line_numbers():
@@ -474,6 +478,21 @@ def test_cli_moments(tmp_path, capsys):
     # Estimates are either numbers or null with a recorded reason.
     assert (report["qcm4"] is None) == ("qcm4_skipped" in report)
     assert (report["cmx2"] is None) == ("cmx2_skipped" in report)
+
+
+def test_cli_moments_reports_a_skipped_estimate(tmp_path, capsys):
+    # XX + YY on |10>: moments (0, 4, 0, 16), so c3 = 0 and cmx2 cannot divide.
+    spec_path = write(tmp_path, "state.txt", "1.0 10\n")
+    ham_path = write(tmp_path, "h.txt", "1.0 XX\n1.0 YY\n")
+    code, report, err = run_cli(
+        capsys, ["moments", "--spec", spec_path, "--hamiltonian", ham_path]
+    )
+    assert (code, err) == (0, "")
+    assert list(report["cumulants"].values()) == [0.0, 4.0, 0.0, -32.0]
+    assert report["qcm4"] == -2.0
+    assert "qcm4_skipped" not in report
+    assert report["cmx2"] is None
+    assert report["cmx2_skipped"] == "third cumulant 0.000e+00 too small"
 
 
 def test_cli_moments_rejects_width_mismatch(tmp_path, capsys):

@@ -122,6 +122,9 @@ def test_rejected_inputs_exit_before_numpy_loads(tmp_path):
     def verify(circuit, *extra):
         return ["verify", "--spec", p["spec4"], "--circuit", p[circuit], *extra]
 
+    def qcels(*extra):
+        return ["qcels", "--spec", p["spec4"], "--hamiltonian", p["ham4"], *extra]
+
     rejected = [
         ["synth", "--spec", p["malformed.txt"]],
         ["synth", "--spec", p["inf.txt"]],
@@ -135,6 +138,8 @@ def test_rejected_inputs_exit_before_numpy_loads(tmp_path):
          "--ansatz", p["six.json"]],
         verify("six.json", "--tolerance", "2"),
         ["spectrum", "--hamiltonian", p["ham4"], "--count", "-1"],
+        qcels("--tau", "nan"),
+        qcels("--tau", "0.5", "--samples", "0"),
     ]
     result = run_fresh([*rejected, [], ["synth", "--spec", p["spec4"]]])
     # Every rejection ends in the error contract (1) or a usage error (2)
