@@ -40,6 +40,8 @@ class TauTooLarge(ValueError):
 NEAR_EIGENSTATE_VARIANCE = 1e-12
 DEGENERACY_TOLERANCE = 1e-12
 SYMMETRY_TOLERANCE = 1e-6
+# The most weight of U|HF> that sceom_m_matrix lets an ansatz U leave outside HF's sector.
+SECTOR_TOLERANCE = 1e-9
 # QCELS on solved blocks holds a samples x rows complex array per block: 64 MB
 # at this cap and the largest such block, 2^10 rows.
 MAX_QCELS_SAMPLES = 4096
@@ -543,28 +545,36 @@ def sceom_m_matrix(
     Diagonal entries come from single-configuration inputs to the ansatz;
     off-diagonal real parts from symmetric two-configuration superpositions,
     each with the ground energy subtracted. prep_method chooses how those
-    probe states are synthesized.
+    probe states are synthesized. The ansatz U acts on the prepared probes;
+    a ValueError names the weight that U|HF> keeps in the reference's
+    particle sector when that is below 1 - SECTOR_TOLERANCE.
     """
     excitations = tuple(excitations)
     if not excitations:
         raise ValueError(f"reference {hf} admits no excitation, so the excitation matrix is empty")
     configs, signs = _excited_configs(hf, excitations)
 
-    def energy(spec: StateSpec) -> float:
-        prepared = run_circuit(synthesize(spec, prep_method))
-        return expectation(run_circuit(ansatz, prepared), h)
+    def ansatz_state(spec: StateSpec) -> np.ndarray:
+        return run_circuit(ansatz, run_circuit(synthesize(spec, prep_method)))
 
-    e_ground = energy(validate_spec([(1.0, hf)]))
+    ground = ansatz_state(validate_spec([(1.0, hf)]))
+    kept = sum(abs(a) ** 2 for index, a in enumerate(ground) if index.bit_count() == hf.weight)
+    if kept < 1 - SECTOR_TOLERANCE:
+        raise ValueError(
+            f"ansatz U keeps weight {kept:.12g} of U|{hf}> in the reference's {hf.weight}-particle"
+            " sector; U must conserve particle number and act on the prepared reference"
+        )
+    e_ground = expectation(ground, h)
 
     size = len(configs)
     diag = np.empty(size)
     for i, x in enumerate(configs):
-        diag[i] = energy(validate_spec([(1.0, x)])) - e_ground
+        diag[i] = expectation(ansatz_state(validate_spec([(1.0, x)])), h) - e_ground
 
     m = np.diag(diag)
     for i in range(size):
         for j in range(i + 1, size):
-            pair_energy = energy(_pair_spec(configs, signs, i, j)) - e_ground
+            pair_energy = expectation(ansatz_state(_pair_spec(configs, signs, i, j)), h) - e_ground
             m[i, j] = m[j, i] = pair_energy - diag[i] / 2 - diag[j] / 2
     return MMatrix(m, e_ground)
 

@@ -20,9 +20,12 @@ Compilation lowers to the CX-native set, simplifies there, and maps to the
 ZZ-native set last (as t|ket> rebases last: Sivarajah et al., Quantum Sci.
 Technol. 6, 014003, 2021). Controlled rotations expand through a Gray-code
 multiplexor with closed-form angles, +-angle / 2^k for k controls (Möttönen
-et al., PRL 93, 130502, 2004).
+et al., PRL 93, 130502, 2004). An X under three or more controls expands
+through the square-root recursion of Barenco et al. (PRA 52, 3457, 1995,
+Lemma 7.5), whose controlled roots X**p = exp(i pi p/2) Rx(pi p) have
+closed-form angles too.
 
-Every angle is a real number, in radians everywhere in memory; ``Gate``
+Every angle is a finite real number, in radians everywhere in memory; ``Gate``
 rejects any other value, so nothing downstream checks again. Serialization
 converts to units of pi at the file boundary (see fileio).
 """
@@ -60,7 +63,7 @@ _NULL_EPS = 1e-12
 @dataclasses.dataclass(frozen=True)
 class Gate:
     """Single gate instance: kind, target wires, optional controls, angles
-    (real numbers, in radians)."""
+    (finite real numbers, in radians)."""
 
     kind: str
     targets: tuple[int, ...]
@@ -80,8 +83,8 @@ class Gate:
                 f"{self.kind} needs {PARAM_ARITY[self.kind]} angles, got {len(self.params)}"
             )
         for p in self.params:
-            if not isinstance(p, numbers.Real):
-                raise ValueError(f"{self.kind} angle {p!r} must be a real number")
+            if not isinstance(p, numbers.Real) or not math.isfinite(p):
+                raise ValueError(f"{self.kind} angle {p!r} must be a finite real number")
         if not self.controls:
             return
         ctrl_qubits = [q for q, _ in self.controls]
@@ -336,14 +339,10 @@ def _multiplexed_rotation(kind: str, target: int, controls, angle: float) -> lis
     return out
 
 
-def _euler_angles(u: np.ndarray, axis: str) -> tuple[float, float, float, float]:
-    """Return (a, b, c, delta) with u = exp(i delta) Rz(a) R(b) Rz(c), where R
-    rotates about the middle axis "y" or "x".
-
-    Rx(b) = Rz(-pi/2) Ry(b) Rz(pi/2), so the x form is the y form with a - c
-    larger by pi.
-    """
-    turn = math.pi if axis == "x" else 0.0
+def _euler_angles(u: np.ndarray) -> tuple[float, float, float]:
+    """Return (a, b, c) with u = exp(i delta) Rz(a) Rx(b) Rz(c) for some phase
+    delta: the Rz Ry Rz form with a - c larger by pi, as
+    Rx(b) = Rz(-pi/2) Ry(b) Rz(pi/2)."""
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = math.atan2(det.imag, det.real) / 2
     su = u * np.exp(-1j * delta)
@@ -351,39 +350,12 @@ def _euler_angles(u: np.ndarray, axis: str) -> tuple[float, float, float, float]
     if abs(su[1, 0]) < 1e-14:
         a, c = -2 * float(np.angle(su[0, 0])), 0.0
     elif abs(su[0, 0]) < 1e-14:
-        a, c = 2 * float(np.angle(su[1, 0])) + turn, 0.0
+        a, c = 2 * float(np.angle(su[1, 0])) + math.pi, 0.0
     else:
         apc = -2 * float(np.angle(su[0, 0]))
-        amc = 2 * float(np.angle(su[1, 0])) + turn
+        amc = 2 * float(np.angle(su[1, 0])) + math.pi
         a, c = (apc + amc) / 2, (apc - amc) / 2
-    return a, b, c, delta
-
-
-def _emit_controlled_1q(control: int, q: int, u: np.ndarray) -> list[tuple]:
-    """Controlled one-qubit unitary via the two-CNOT conjugation form, with an
-    Rz on the control absorbing the determinant phase.
-
-    The conjugation part realizes the special-unitary factor su = e^{-i delta} u
-    exactly, so the missing piece is diag(1, e^{i delta}) on the control, which
-    is Rz(delta) up to a global phase.
-    """
-    a, b, c, delta = _euler_angles(u, "y")
-    out = []
-    if abs(c - a) > 2 * _NULL_EPS:
-        out.append(_rz(q, (c - a) / 2))
-    out.append(_cnot(control, q))
-    if abs(a + c) > 2 * _NULL_EPS:
-        out.append(_rz(q, -(a + c) / 2))
-    if abs(b) > _NULL_EPS:
-        out.append(_ry(q, -b / 2))
-    out.append(_cnot(control, q))
-    if abs(b) > _NULL_EPS:
-        out.append(_ry(q, b / 2))
-    if abs(a) > _NULL_EPS:
-        out.append(_rz(q, a))
-    if abs(delta) > _NULL_EPS:
-        out.append(_rz(control, delta))
-    return out
+    return a, b, c
 
 
 def _toffoli(c1: int, c2: int, t: int) -> list[tuple]:
@@ -409,39 +381,42 @@ def _toffoli(c1: int, c2: int, t: int) -> list[tuple]:
     return out
 
 
-def _principal_sqrt(u: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eig(u)
-    return vectors @ np.diag(np.sqrt(values.astype(complex))) @ np.linalg.inv(vectors)
+def _controlled_x_power(control: int, q: int, p: float) -> list[tuple]:
+    """X**p on q controlled by `control`, 0 < |p| < 1.
+
+    X**p = exp(i pi p/2) Rx(pi p) = exp(i pi p/2) Rz(-s) Ry(pi |p|) Rz(s) with
+    s = copysign(pi/2, p). The two-CNOT conjugation form applies the rotation
+    under the control; Rz(pi p/2) on the control supplies the phase.
+    """
+    s, half = math.copysign(math.pi / 2, p), math.pi * abs(p) / 2
+    conjugated = [_cnot(control, q), _ry(q, -half), _cnot(control, q), _ry(q, half)]
+    return [_rz(q, s), *conjugated, _rz(q, -s), _rz(control, math.pi * p / 2)]
 
 
-def _mc_unitary(controls: tuple[int, ...], t: int, u: np.ndarray) -> list[tuple]:
-    """Multi-controlled one-qubit unitary, at least one control, all controls
-    on state 1, no ancilla.
+def _mcx_power(controls: tuple[int, ...], t: int, p: float) -> list[tuple]:
+    """X**p on t under at least one control, all on state 1, no ancilla.
 
-    Recursive square-root split: halve the control count by conjugating a
-    singly controlled sqrt(u) with a multi-controlled X on the last control.
+    Square-root recursion (Barenco et al., PRA 52, 3457, 1995, Lemma 7.5):
+    X**(p/2) and then X**(-p/2) under the last control, each followed by an X
+    on the last control under the rest, then X**(p/2) under the rest.
     """
     if len(controls) == 1:
-        return _emit_controlled_1q(controls[0], t, u)
-    v = _principal_sqrt(u)
+        return _controlled_x_power(controls[0], t, p)
     rest, last = controls[:-1], controls[-1]
-    out = []
-    out += _emit_controlled_1q(last, t, v)
-    out += _mcx_ones(rest, last)
-    out += _emit_controlled_1q(last, t, v.conj().T)
-    out += _mcx_ones(rest, last)
-    out += _mc_unitary(rest, t, v)
-    return out
+    return [
+        *_controlled_x_power(last, t, p / 2),
+        *_mcx_ones(rest, last),
+        *_controlled_x_power(last, t, -p / 2),
+        *_mcx_ones(rest, last),
+        *_mcx_power(rest, t, p / 2),
+    ]
 
 
 @functools.cache
 def _mcx_template(k: int) -> tuple[tuple, ...]:
-    """X on wire k controlled by wires 0..k-1, k >= 3, as records.
-
-    Its angles come from the square roots of X and depend on k alone, so each
-    control count is solved once per process.
-    """
-    return tuple(_mc_unitary(tuple(range(k)), k, _fixed_matrices()[X]))
+    """X on wire k controlled by wires 0..k-1, k >= 3, as records, built once
+    per control count."""
+    return tuple(_mcx_power(tuple(range(k)), k, 1.0))
 
 
 def _mcx_ones(controls: tuple[int, ...], t: int) -> list[tuple]:
@@ -703,7 +678,7 @@ def _emit_zz_1q(u: np.ndarray) -> list[tuple[str, tuple[float, ...]]]:
     """u (up to phase) as (kind, params) of [PhasedX(alpha, beta), Rz(gamma)],
     dropping trivial factors. Uses u = Rz(a) Rx(b) Rz(c) with beta = -c,
     alpha = b, gamma = a + c."""
-    a, b, c, _ = _euler_angles(u, "x")
+    a, b, c = _euler_angles(u)
     out = []
     if abs(math.remainder(b, 2 * math.pi)) > _NULL_EPS:
         out.append((PHASEDX, (b, -c)))

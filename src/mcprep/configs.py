@@ -233,8 +233,9 @@ class StateSpec:
 def validate_spec(entries) -> StateSpec:
     """Check and canonicalize a list of (coefficient, configuration) pairs.
 
-    Near-zero coefficients are dropped, the norm is checked against
-    NORM_TOLERANCE and then renormalized exactly. Entry order is preserved.
+    A coefficient that is not finite is an error. Near-zero coefficients are
+    dropped, the norm is checked against NORM_TOLERANCE and then renormalized
+    exactly. Entry order is preserved.
     """
     pairs = []
     for coeff, config in entries:
@@ -244,7 +245,10 @@ def validate_spec(entries) -> StateSpec:
             coeff = coeff.real
         if isinstance(config, str):
             config = OnConfig.from_string(config)
-        pairs.append((float(coeff), config))
+        coeff = float(coeff)
+        if not math.isfinite(coeff):
+            raise SpecValidationError(f"coefficient {coeff!r} of {config} is not finite")
+        pairs.append((coeff, config))
     if not pairs:
         raise SpecValidationError("empty specification")
 

@@ -94,9 +94,9 @@ def parse_state_spec(text: str) -> StateSpec:
 
 
 def _angle_text(value) -> str:
-    """An angle as json writes it: in units of pi, by float.__repr__."""
-    turns = float(value) / math.pi
-    return float.__repr__(turns) if math.isfinite(turns) else json.dumps(turns)
+    """An angle as json writes it: in units of pi, by float.__repr__. Gate
+    admits finite angles only, so none is written as NaN or Infinity."""
+    return float.__repr__(float(value) / math.pi)
 
 
 def _angle_from_json(value, position: int) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 from . import _lazy_numpy
 
@@ -126,9 +127,11 @@ class PauliSum:
     """Real linear combination of Pauli words on a common register."""
 
     def __init__(self, terms: dict[PauliWord, float], n_qubits: int):
-        for word in terms:
+        for word, coeff in terms.items():
             if word.n_qubits != n_qubits:
                 raise ValueError("term register size mismatch")
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff!r} of {word} is not finite")
         self._terms = {w: float(c) for w, c in terms.items() if c != 0.0}
         self.n_qubits = n_qubits
 

@@ -737,6 +737,24 @@ def test_sceom_rejects_invalid_probes():
         sceom_m_matrix(h, hf, cisd_excitations(hf), ansatz, prep_method="magic")
 
 
+def test_sceom_rejects_an_ansatz_that_moves_the_reference_out_of_its_sector():
+    """A preparation circuit builds the reference from |0000> with X gates, so
+    as an ansatz it sends the prepared reference to weight 0; the same
+    circuit without the reference preparation gives <psi|H|psi>."""
+    h = PauliSum.from_terms([
+        (-0.5, "ZIII"), (0.25, "IZII"), (0.3, "ZZII"), (0.35, "XIXI"), (0.35, "YIYI"),
+        (0.15, "IXIX"), (0.15, "IYIY"),
+    ])
+    hf = OnConfig.from_string("1100")
+    spec = validate_spec([(0.9, "1100"), (math.sqrt(0.095), "0110"), (math.sqrt(0.095), "1001")])
+    with pytest.raises(ValueError, match=r"ansatz U keeps weight 0 of U\|1100> in the reference's 2-"):
+        sceom_m_matrix(h, hf, cisd_excitations(hf), synthesize_gr(spec))
+    ansatz = synthesize_gr(spec, include_reference_prep=False)
+    m = sceom_m_matrix(h, hf, cisd_excitations(hf), ansatz)
+    assert m.ground_energy == pytest.approx(expectation(run_circuit(synthesize_gr(spec)), h), abs=1e-12)
+    assert m.ground_energy == pytest.approx(0.943297, abs=1e-6)
+
+
 def test_sceom_energies_validates_symmetry():
     lopsided = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
-"""Public API reached only by tests is deleted, not kept.
+"""Public API reached only by tests is deleted, not kept, and so is private
+code that nothing reaches.
 
 Every public module-level function or class of the package must be named
 somewhere in ``src/`` besides its own definition, and every public method or
 property of a public class must be read as an attribute there (a parameter
 or local variable of the same name does not count), or be listed below with
-the reason it stays.
+the reason it stays. Every private module-level function, class or constant
+must be read somewhere in ``src/`` outside its own definition, so a
+recursive helper that lost its last caller counts as unused.
 """
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -122,3 +126,48 @@ def test_allowlist_is_current_and_each_reason_holds():
     for key, reason in ALLOWED.items():
         assert (key in leaves) == (reason == "leaves"), key
         assert (key in traced) == (reason == "tracer"), key
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """A module's private, non-dunder module-level functions, classes and
+    assigned names, with the statement that defines each."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node
+    return found
+
+
+def _reads(nodes) -> collections.Counter:
+    """How often the nodes' subtrees read each identifier, as a loaded name,
+    an attribute or an imported alias."""
+    counts = collections.Counter()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                counts[node.name] += 1
+    return counts
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    trees = _trees()
+    everywhere = _reads(trees.values())
+    unread = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if everywhere[name] - _reads([node])[name] == 0
+    )
+    assert not unread, f"private names that nothing in src/ reads: {unread}"

@@ -371,6 +371,9 @@ def test_controlled_templates_match_analytic_unitaries(gateset_name):
         g4_gate(1, 2, 3, 4, float(rng.uniform(-3, 3)), ((0, 1),)),
         x_gate(3, ((0, 1), (1, 1), (2, 1))),
         x_gate(3, ((0, 0), (1, 1), (2, 0))),
+        # Four and five controls recurse through the three-control template.
+        x_gate(4, ((0, 0), (1, 1), (2, 1), (3, 0))),
+        x_gate(5, ((0, 1), (1, 0), (2, 1), (3, 1), (4, 0))),
     ]
     for g in cases:
         n = max(g.wires) + 1
@@ -570,11 +573,11 @@ def test_gate_rejects_angles_that_are_not_numbers():
             continue
         targets = tuple(range(TARGET_ARITY[kind]))
         Gate(kind, targets, (), (np.float64(0.5), *[1] * (arity - 1)))
-        for bad in ("theta", None, 1j):
+        for bad in ("theta", None, 1j, math.nan, math.inf, -math.inf):
             for slot in range(arity):
                 params = [0.5] * arity
                 params[slot] = bad
-                with pytest.raises(ValueError, match="must be a real number"):
+                with pytest.raises(ValueError, match="must be a finite real number"):
                     Gate(kind, targets, (), tuple(params))
 
 

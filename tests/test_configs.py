@@ -205,6 +205,9 @@ def test_validate_spec_error_cases():
         validate_spec([(0.7 + 0.1j, "10"), (0.7, "01")])
     with pytest.raises(SpecValidationError):
         validate_spec([(1e-16, "10")])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecValidationError, match=f"coefficient {bad!r} of 1100 is not finite"):
+            validate_spec([(bad, "1100"), (1.0, "0110")])
 
 
 def test_validate_spec_prunes_tiny_coefficients():

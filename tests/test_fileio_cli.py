@@ -752,6 +752,29 @@ def test_cli_sceom_with_ansatz_file(tmp_path, capsys):
     assert err == "error: gate 0: angle 't0' must be a number\n"
 
 
+def test_cli_sceom_rejects_an_ansatz_that_synth_wrote(tmp_path, capsys):
+    """synth writes a circuit that prepares the reference from |0000>, so as an
+    ansatz it moves the prepared reference out of its particle sector."""
+    ham_path = write(tmp_path, "h.txt", HAM_TEXT)
+    amp = math.sqrt(0.095)
+    spec_path = write(tmp_path, "s.txt", f"0.9 1100\n{amp!r} 0110\n{amp!r} 1001\n")
+    circuit_path = str(tmp_path / "ansatz.json")
+    code, report, _ = run_cli(
+        capsys,
+        ["synth", "--spec", spec_path, "--method", "gr", "--gateset", "none", "--out", circuit_path],
+    )
+    assert (code, report["verified"]) == (0, True)
+    code, report, err = run_cli(
+        capsys,
+        ["sceom", "--hamiltonian", ham_path, "--orbitals", "2", "--electrons", "2",
+         "--ansatz", circuit_path],
+    )
+    assert (code, report) == (1, None)
+    assert err.startswith(
+        "error: ansatz U keeps weight 0 of U|1100> in the reference's 2-particle sector;"
+    )
+
+
 def test_cli_sceom_rejects_width_mismatch(tmp_path, capsys):
     ham_path = write(tmp_path, "h.txt", HAM_TEXT)
     code, report, err = run_cli(

@@ -1,5 +1,6 @@
 """Pauli algebra tests against dense Kronecker-product oracles."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,8 @@ def test_sum_collects_terms_and_drops_zeros():
     s = PauliSum.from_terms([(1.5, w), (-1.5, w), (0.25, "IZ")])
     assert s.n_terms == 1
     assert np.array_equal(s.matrix(), 0.25 * PauliWord.from_string("IZ").matrix())
+    with pytest.raises(ValueError, match="coefficient nan of ZI is not finite"):
+        PauliSum.from_terms([(math.nan, "ZI"), (1.0, "IZ")])
 
 
 def structured_terms(rng, n: int) -> dict[PauliWord, float]:
