@@ -406,6 +406,8 @@ def qcels_series(state: np.ndarray, h: PauliSum, tau: float, n_samples: int) -> 
     is theirs. Otherwise the state is evolved and the range is H's own; a
     register above evolve's budget is rejected before any eigensolve.
     """
+    if state.shape != (1 << h.n_qubits,):
+        raise ValueError(f"state of shape {state.shape} does not match {h.n_qubits} qubits")
     _validate_series_args(tau, n_samples)
     n = np.arange(n_samples)
     solved = _diagonalizable(h)

@@ -196,7 +196,6 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(f"'gates' must be a list, got {doc['gates']!r}")
     gates = []
     checked: dict[tuple, Gate] = {}  # the first gate of each checked shape
-    outside = False
     for position, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict) or "kind" not in entry or "targets" not in entry:
             raise ParseError(f"gate {position}: expected an object with 'kind' and 'targets'")
@@ -229,22 +228,16 @@ def circuit_from_json(text: str) -> Circuit:
         targets = _integers(entry["targets"], position, "targets")
         controls = _controls(entry["controls"], position) if "controls" in entry else ()
         shape = (kind, targets, controls)
-        first = checked.get(shape)
-        if first is None:
+        if shape not in checked:
             try:
-                first = checked[shape] = Gate(kind, targets, controls, params)
+                checked[shape] = Gate(kind, targets, controls, params)
             except ValueError as err:
                 raise ParseError(f"gate {position}: {err}") from None
-            wires = targets + tuple(q for q, _ in controls)
-            outside = outside or min(wires) < 0 or max(wires) >= n_qubits
-            gates.append(first)
-        elif params:
-            gates.append(_checked_gate(kind, targets, controls, params))
-        else:
-            gates.append(first)  # Gates are immutable: one object per angle-free shape
-    if outside or n_qubits <= 0:
-        try:
-            Circuit(n_qubits, tuple(gates))
-        except ValueError as err:
-            raise ParseError(str(err)) from None
+        # Gates are immutable: one object per angle-free shape.
+        gates.append(_checked_gate(kind, targets, controls, params) if params else checked[shape])
+    # A shape's gates share their wires: the register is checked on each shape's first gate.
+    try:
+        Circuit(n_qubits, tuple(checked.values()))
+    except ValueError as err:
+        raise ParseError(str(err)) from None
     return _checked_circuit(n_qubits, tuple(gates))

@@ -5,10 +5,11 @@ reference. Each later configuration x_e gets one rotation that moves amplitude
 from the reference onto x_e:
 
 - distance 2 or 4: a single two- or four-wire pattern rotation whose targets
-  are the differing qubits, reference-occupied wires first. Controls are added
-  only where an earlier configuration would co-rotate; each control sits on
-  the lowest admissible qubit where that configuration deviates, with the
-  reference's bit value as the control state.
+  are the differing qubits, reference-occupied wires first. An earlier
+  configuration gets a control exactly when its pattern on the targets is the
+  reference's or the target's; the control sits on the lowest admissible
+  qubit where that configuration deviates, with the reference's bit value as
+  the control state.
 - distance above 4: controlled transpositions walk the reference down to
   distance 2, a controlled two-wire rotation splits the amplitude, and the
   transpositions run again in reverse. The planned rotation is that central
@@ -99,17 +100,10 @@ def _plan_direct(
     targets: tuple[int, ...],
 ) -> PlannedRotation:
     controls: dict[int, int] = {}
-    order = len(targets)
     for x_p in previous:
-        if order == 2:
-            i, j = targets
-            disturbed = x_p[i] != x_p[j]
-        else:
-            disturbed = (
-                restricted_hamming(reference, x_p, targets) == 4
-                or restricted_hamming(target, x_p, targets) == 4
-            )
-        if disturbed:
+        # The rotation moves only the reference's pattern on its targets and
+        # that pattern's complement, which is the target's.
+        if restricted_hamming(reference, x_p, targets) in (0, len(targets)):
             q, state = _disturbance_control(x_p, target, reference, targets)
             controls.setdefault(q, state)
     return PlannedRotation(targets, tuple(sorted(controls.items())))

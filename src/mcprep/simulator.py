@@ -275,18 +275,13 @@ def exact_spectrum(h: PauliSum) -> np.ndarray:
     return h.eigenvalues
 
 
-def subspace_matrix(h: PauliSum, configs) -> np.ndarray:
-    """<x_i|H|x_j> over a list of distinct configurations."""
+def subspace_diag(h: PauliSum, configs) -> np.ndarray:
+    """Ascending eigenvalues of H restricted to the span of the given
+    distinct configurations."""
     indices = np.array([x.index for x in configs], dtype=np.int64)
     if np.unique(indices).size != indices.size:
         raise ValueError("duplicate configurations in subspace basis")
-    return h.block(indices)
-
-
-def subspace_diag(h: PauliSum, configs) -> np.ndarray:
-    """Ascending eigenvalues of H restricted to the span of the given
-    configurations."""
-    mat = subspace_matrix(h, configs)
+    mat = h.block(indices)
     if not np.allclose(mat, mat.conj().T, atol=1e-12):
         raise ValueError("subspace matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)

@@ -46,7 +46,6 @@ from mcprep.simulator import (
     moments,
     run_circuit,
     subspace_diag,
-    subspace_matrix,
 )
 
 from tests.test_paulis import conserving_sum
@@ -417,7 +416,7 @@ def test_qcels_sparse_series_matches_eigendecomposition():
         OnConfig.from_string("".join("1" if q in pair else "0" for q in range(n)))
         for pair in itertools.combinations(range(n), 2)
     ]
-    values, vectors = np.linalg.eigh(subspace_matrix(h, configs))
+    values, vectors = np.linalg.eigh(h.block(np.array([x.index for x in configs])))
     coeffs = rng.standard_normal(len(configs))
     coeffs /= np.linalg.norm(coeffs)
     amps = np.zeros(1 << n, dtype=complex)
@@ -646,6 +645,24 @@ def test_qcels_rejects_a_register_above_the_evolution_budget_before_any_eigensol
         qcels_series(state, h, 0.1, 8)
 
 
+def test_qcels_rejects_a_state_of_another_register_before_any_eigensolve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve run for a state of another register")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(algorithms, "_spectral_range", no_solve)
+    rng = np.random.default_rng(86)
+    # Two qubits take the eigen path; eleven non-conserving ones take evolve's.
+    for n, terms in ((2, 5), (MAX_DENSE_EIGEN_QUBITS + 1, 30)):
+        h = random_sum(rng, n, terms)
+        assert algorithms._diagonalizable(h) == (n == 2)
+        for size in (1 << (n + 1), 1 << (n - 1)):
+            state = np.full(size, size**-0.5, dtype=complex)
+            message = rf"^state of shape \({size},\) does not match {n} qubits$"
+            with pytest.raises(ValueError, match=message):
+                qcels_series(state, h, 0.1, 8)
+
+
 def test_qcels_rejects_bad_sampling():
     rng = np.random.default_rng(78)
     h = random_sum(rng, 3, 5)
@@ -670,7 +687,7 @@ def test_qcels_rejects_flat_objective():
 def exact_ground_ansatz(h: PauliSum, hf: OnConfig):
     """Rotation ansatz preparing the closed-sector ground state from |hf>."""
     configs = [OnConfig.from_string(s) for s in TWO_ORBITAL_SECTOR]
-    values, vectors = np.linalg.eigh(subspace_matrix(h, configs))
+    values, vectors = np.linalg.eigh(h.block(np.array([x.index for x in configs])))
     ground = np.real(vectors[:, 0])
     assert np.abs(np.imag(vectors[:, 0])).max() < 1e-12
     if abs(ground[0]) < 1e-6:

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -246,9 +247,30 @@ def test_circuit_json_rejections():
             fileio.circuit_from_json(json.dumps({**good, "n_qubits": n_qubits}))
     with pytest.raises(fileio.ParseError, match="'gates' must be a list"):
         fileio.circuit_from_json(json.dumps({**good, "gates": 7}))
-    doc = {**good, "gates": [{"kind": "X", "targets": [5]}]}
-    with pytest.raises(fileio.ParseError):  # wire out of range
-        fileio.circuit_from_json(json.dumps(doc))
+
+    def bad_register(n_qubits, gates, message):
+        doc = {**good, "n_qubits": n_qubits, "gates": gates}
+        with pytest.raises(fileio.ParseError, match=f"^{re.escape(message)}$"):
+            fileio.circuit_from_json(json.dumps(doc))
+
+    bad_register(2, [{"kind": "X", "targets": [5]}], "gate wires [5] outside register of 2")
+    bad_register(2, [{"kind": "X", "targets": [-1]}], "gate wires [-1] outside register of 2")
+    # The message names the first gate out of range, whatever shapes come before or after.
+    gates = [
+        {"kind": "X", "targets": [0]},
+        {"kind": CNOT, "targets": [0, 1]},
+        {"kind": RY, "targets": [1], "angle": 0.5},
+        {"kind": CNOT, "targets": [1, 3], "controls": [[0, 1]]},
+        {"kind": "X", "targets": [0]},
+        {"kind": RY, "targets": [1], "angle": 0.25},
+        {"kind": "X", "targets": [1], "controls": [[4, 1]]},
+        {"kind": CNOT, "targets": [1, 3], "controls": [[0, 1]]},
+    ]
+    bad_register(2, gates, "gate wires [3] outside register of 2")
+    bad_register(2, gates[:3] + gates[6:], "gate wires [4] outside register of 2")
+    for n_qubits in (0, -1):
+        for gates in ([], [{"kind": "X", "targets": [0]}]):
+            bad_register(n_qubits, gates, "circuit needs at least one qubit")
 
 
 def test_circuit_json_fuzzed_field_types_parse_or_raise_parse_error():

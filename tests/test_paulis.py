@@ -190,6 +190,16 @@ def test_sectors_split_only_weight_keeping_sums():
     assert block.dtype == complex and block.imag.any()
 
 
+def test_block_matches_dense_principal_submatrix():
+    rng = np.random.default_rng(39)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        h = random_sum(rng, n, 6)
+        size = int(rng.integers(1, min(6, 1 << n) + 1))
+        picks = rng.choice(1 << n, size=size, replace=False)
+        assert np.array_equal(h.block(picks), h.matrix()[np.ix_(picks, picks)])
+
+
 def test_eigenvalues_match_dense_eigvalsh():
     rng = np.random.default_rng(14)
     for n in range(1, 11):

@@ -43,7 +43,6 @@ from mcprep.simulator import (
     run_circuit,
     subspace_diag,
     spec_state,
-    subspace_matrix,
 )
 from mcprep.ssp import synthesize_ssp
 
@@ -413,25 +412,13 @@ def test_exact_spectrum_matches_eigvalsh():
     assert np.allclose(exact_spectrum(h), np.linalg.eigvalsh(h.matrix()), atol=1e-12)
 
 
-def test_subspace_matrix_matches_dense_projection():
-    rng = np.random.default_rng(39)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        h = random_sum(rng, n, 6)
-        size = int(rng.integers(1, min(6, 1 << n) + 1))
-        picks = rng.choice(1 << n, size=size, replace=False)
-        configs = [OnConfig.from_string(format(int(i), f"0{n}b")) for i in picks]
-        dense = h.matrix()[np.ix_(picks, picks)]
-        assert np.array_equal(subspace_matrix(h, configs), dense)
-
-
 def test_subspace_diag_full_basis_recovers_spectrum():
     rng = np.random.default_rng(40)
     h = random_sum(rng, 3, 5)
     configs = [OnConfig.from_string(format(i, "03b")) for i in range(8)]
     assert np.allclose(subspace_diag(h, configs), exact_spectrum(h), atol=1e-10)
-    with pytest.raises(ValueError):
-        subspace_matrix(h, configs + [configs[0]])
+    with pytest.raises(ValueError, match="duplicate configurations"):
+        subspace_diag(h, configs + [configs[0]])
 
 
 def test_subspace_diag_interlaces_full_spectrum():
